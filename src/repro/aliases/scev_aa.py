@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..analysis.facts import CFGFacts
 from ..ir.function import Function
 from ..ir.instructions import Instruction
 from ..ir.module import Module
@@ -32,8 +33,11 @@ class SCEVAliasAnalysis(AliasAnalysis):
 
     name = "scev"
 
-    def __init__(self, module: Module):
+    def __init__(self, module: Module, cfg_facts: Optional[CFGFacts] = None):
         super().__init__(module)
+        #: Loop forests come from here (shared with the other consumers
+        #: of a manager's ``CFG_FACTS`` entry).
+        self.cfg_facts = cfg_facts if cfg_facts is not None else CFGFacts()
         self._engines: Dict[Function, ScalarEvolution] = {}
         #: pointer value -> its add recurrence (or None); saves the
         #: engine-resolution walk on the quadratic pair enumeration, which
@@ -44,7 +48,8 @@ class SCEVAliasAnalysis(AliasAnalysis):
         """Function-granular incremental refresh (manager edit hook):
         scalar-evolution engines are built lazily per function, so the edit
         only needs to retire the old body's engine (and the per-pointer
-        memo, whose keys are the retired body's identities)."""
+        memo, whose keys are the retired body's identities).  The old body's
+        loop forest is the CFG facts' to drop."""
         self._engines.pop(old_function, None)
         self._evolutions.clear()
 
@@ -58,7 +63,7 @@ class SCEVAliasAnalysis(AliasAnalysis):
             return None
         engine = self._engines.get(function)
         if engine is None:
-            engine = ScalarEvolution(function)
+            engine = ScalarEvolution(function, self.cfg_facts.loop_info(function))
             self._engines[function] = engine
         return engine
 

@@ -11,12 +11,14 @@ from .cfg import (
     successor_map,
 )
 from .dominance import DominatorTree, dominance_frontiers
+from .facts import CFGFacts
 from .liveness import LivenessInfo
 from .loops import Loop, LoopInfo
 
 __all__ = [
     "CallGraph",
     "CallSite",
+    "CFGFacts",
     "back_edges",
     "is_single_entry_region",
     "post_order",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..analysis.dominance import DominatorTree
+from ..analysis.facts import CFGFacts
 from ..engine.solver import SparseProblem, SparseSolver
 from ..ir.instructions import (
     AllocaInst,
@@ -112,10 +112,12 @@ class LocalRangeAnalysis:
 
     def __init__(self, module: Module,
                  ranges: Optional[SymbolicRangeAnalysis] = None,
-                 locations: Optional[LocationTable] = None):
+                 locations: Optional[LocationTable] = None,
+                 cfg_facts: Optional[CFGFacts] = None):
         self.module = module
         self.ranges = ranges if ranges is not None else SymbolicRangeAnalysis(module)
         self.locations = locations if locations is not None else LocationTable(module)
+        self.cfg_facts = cfg_facts if cfg_facts is not None else CFGFacts()
         self._lr: Dict[Value, LocalAbstractValue] = {}
         # Shared fresh bases for pointer arithmetic with a varying index
         # (the renaming of Figure 4): keyed by (base, index, scale).
@@ -195,7 +197,7 @@ class LocalRangeAnalysis:
             del self._arithmetic_bases[key]
         self._location_anchor_cache = None
         nodes: List[Instruction] = []
-        for block in DominatorTree.compute(new_function).preorder():
+        for block in self.cfg_facts.dominator_tree(new_function).preorder():
             nodes.extend(inst for inst in block.instructions
                          if inst.type.is_pointer())
         solver = SparseSolver(_LocalRangeProblem(self, nodes))
@@ -225,8 +227,7 @@ class LocalRangeAnalysis:
     def _run(self) -> None:
         nodes: List[Instruction] = []
         for function in self.module.defined_functions():
-            dom_tree = DominatorTree.compute(function)
-            for block in dom_tree.preorder():
+            for block in self.cfg_facts.dominator_tree(function).preorder():
                 for inst in block.instructions:
                     if inst.type.is_pointer():
                         nodes.append(inst)

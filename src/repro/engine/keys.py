@@ -7,15 +7,21 @@ analyses themselves import the engine for the sparse solver).
 Analyses that layer on others request their inputs through the manager —
 ``GLOBAL_RANGES`` asks for ``RANGES`` and ``LOCATIONS`` — so any two
 consumers of the same module share one bootstrap range analysis, one
-location table and one GR/LR fixed point.
+location table and one GR/LR fixed point.  Sharing holds across spellings of
+the defaults: the manager drops a parameter equal to its factory default
+(``None``, ``RangeAnalysisOptions()``, ``GlobalAnalysisOptions()``,
+``RBAAOptions()``) from the cache key, so RBAA's
+``get(RANGES, options=RangeAnalysisOptions())`` and the bounds client's
+plain ``get(RANGES)`` are one entry.  Likewise every dominator tree and loop
+forest of a function is computed once, in the shared ``CFG_FACTS`` entry.
 """
 
 from __future__ import annotations
 
 from .manager import SCOPE_CALLGRAPH, SCOPE_FUNCTION, AnalysisKey
 
-__all__ = ["RANGES", "LOCATIONS", "CALLGRAPH", "GLOBAL_RANGES", "LOCAL_RANGES",
-           "ANDERSEN", "STEENSGAARD", "BASIC", "SCEV", "RBAA",
+__all__ = ["RANGES", "LOCATIONS", "CALLGRAPH", "CFG_FACTS", "GLOBAL_RANGES",
+           "LOCAL_RANGES", "ANDERSEN", "STEENSGAARD", "BASIC", "SCEV", "RBAA",
            "BOUNDS", "PARALLEL"]
 
 
@@ -34,6 +40,11 @@ def _build_callgraph(module, manager):
     return CallGraph.compute(module)
 
 
+def _build_cfg_facts(module, manager):
+    from ..analysis.facts import CFGFacts
+    return CFGFacts()
+
+
 def _build_global_ranges(module, manager, options=None, range_options=None):
     from ..core.global_analysis import GlobalRangeAnalysis
     return GlobalRangeAnalysis(
@@ -50,6 +61,7 @@ def _build_local_ranges(module, manager, range_options=None):
         module,
         ranges=manager.get(RANGES, options=range_options),
         locations=manager.get(LOCATIONS),
+        cfg_facts=manager.get(CFG_FACTS),
     )
 
 
@@ -70,7 +82,7 @@ def _build_basic(module, manager):
 
 def _build_scev(module, manager):
     from ..aliases.scev_aa import SCEVAliasAnalysis
-    return SCEVAliasAnalysis(module)
+    return SCEVAliasAnalysis(module, cfg_facts=manager.get(CFG_FACTS))
 
 
 def _build_rbaa(module, manager, options=None):
@@ -97,6 +109,10 @@ RANGES = AnalysisKey("symbolic-ranges", _build_ranges, scope=SCOPE_FUNCTION)
 LOCATIONS = AnalysisKey("locations", _build_locations, scope=SCOPE_FUNCTION)
 #: The direct-call graph with SCC condensation.
 CALLGRAPH = AnalysisKey("callgraph", _build_callgraph)
+#: Per-function dominator trees and loop forests, computed once each and
+#: shared by LR, SCEV-AA and the parallelization client; an edit drops the
+#: replaced function's facts.
+CFG_FACTS = AnalysisKey("cfg-facts", _build_cfg_facts, scope=SCOPE_FUNCTION)
 #: The global symbolic pointer range analysis (GR, Figure 9): an
 #: interprocedural fixed point re-run when an edit lands in its cone.
 GLOBAL_RANGES = AnalysisKey("global-ranges", _build_global_ranges,

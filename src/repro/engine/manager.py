@@ -9,6 +9,11 @@ manager memoizes analyses behind typed :class:`AnalysisKey`\\ s:
     ranges = manager.get(keys.RANGES)          # built once
     ranges = manager.get(keys.RANGES)          # cache hit
 
+Parameters equal to the factory's default — ``None``, or a dataclass equal
+to its no-argument instance — are dropped from the cache key, so
+``get(keys.RANGES)`` and ``get(keys.RANGES, options=RangeAnalysisOptions())``
+are one entry and every consumer of a module shares one range bootstrap.
+
 Factories receive the manager itself, so an analysis declares its inputs by
 calling :meth:`AnalysisManager.get` recursively; the manager records those
 nested requests as dependency edges and uses them to invalidate dependents
@@ -18,7 +23,7 @@ the module).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 __all__ = ["AnalysisKey", "AnalysisManager", "ManagerStatistics", "EditImpact",
@@ -47,7 +52,10 @@ class AnalysisKey:
     ``factory(module, manager, **params)`` builds the analysis; ``params``
     must be keyword arguments whose ``repr`` is deterministic — they become
     part of the cache key, so two requests with equal parameters share one
-    instance.
+    instance.  A factory must treat a ``None`` parameter as its default
+    instance (``options=None`` builds exactly what ``options=Options()``
+    builds): the manager drops default-valued parameters from the key, so
+    every spelling of the defaults shares one instance too.
 
     ``scope`` declares how the analysis reacts to a single-function edit
     (see :meth:`AnalysisManager.apply_function_edit`): module-scoped entries
@@ -133,6 +141,24 @@ class EditImpact:
                 "retained": dict(sorted(self.retained.items()))}
 
 
+def _is_default(value: Any) -> bool:
+    """Whether a factory parameter selects the factory's default.
+
+    ``None`` does, and so does a dataclass instance equal to its class's
+    no-argument instance (``RangeAnalysisOptions()``, ``RBAAOptions()`` with
+    default nested options, …): factories treat ``None`` as exactly that
+    instance, so both spellings must share one cache entry.
+    """
+    if value is None:
+        return True
+    if not is_dataclass(value) or isinstance(value, type):
+        return False
+    try:
+        return value == type(value)()
+    except TypeError:  # a dataclass with required fields has no default
+        return False
+
+
 def _callgraph_cone(module, function) -> Tuple[str, ...]:
     """Function names in the edit cone: the edited function plus its
     transitive callers and callees (computed directly from the IR so it
@@ -188,9 +214,9 @@ class AnalysisManager:
     # -- cache keys -----------------------------------------------------------
     @staticmethod
     def _cache_key(key: AnalysisKey, params: Dict[str, Any]) -> _CacheKey:
-        # ``None`` means "the factory default", so ``get(KEY)`` and
-        # ``get(KEY, options=None)`` must share one cache entry.
-        filtered = {name: value for name, value in params.items() if value is not None}
+        # Every spelling of the defaults shares the unparameterized entry.
+        filtered = {name: value for name, value in params.items()
+                    if not _is_default(value)}
         if not filtered:
             return (key, ())
         return (key, tuple(sorted((name, repr(value)) for name, value in filtered.items())))

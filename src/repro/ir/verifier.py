@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
+from ..analysis.cfg import predecessor_map
 from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
@@ -80,9 +81,11 @@ def _check_terminators(function: Function, errors: List[VerificationError]) -> N
 
 
 def _check_phis(function: Function, errors: List[VerificationError]) -> None:
+    # One pass over the edges: ``block.predecessors()`` rescans every block.
+    predecessors_of = predecessor_map(function)
     for block in function.blocks:
         seen_non_phi = False
-        predecessors = block.predecessors()
+        predecessors = predecessors_of[block]
         for inst in block.instructions:
             if isinstance(inst, PhiInst):
                 if seen_non_phi:

@@ -66,7 +66,7 @@ class ScalarEvolution:
 
     def __init__(self, function: Function, loop_info: Optional[LoopInfo] = None):
         self.function = function
-        self.loop_info = loop_info or LoopInfo.compute(function)
+        self.loop_info = loop_info if loop_info is not None else LoopInfo.compute(function)
         self._cache: Dict[Value, Optional[AddRecurrence]] = {}
 
     @classmethod

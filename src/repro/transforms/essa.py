@@ -18,8 +18,9 @@ holds here" becomes ordinary data flow attached to a fresh variable name.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import predecessor_map
 from ..analysis.dominance import DominatorTree
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
@@ -36,9 +37,10 @@ from ..ir.values import Argument, Value
 __all__ = ["build_essa_function", "build_essa", "split_critical_edges"]
 
 
-def _needs_split(source: BasicBlock, target: BasicBlock) -> bool:
+def _needs_split(source: BasicBlock, target: BasicBlock,
+                 preds: Dict[BasicBlock, List[BasicBlock]]) -> bool:
     """A critical edge: the source has several successors and the target several predecessors."""
-    return len(source.successors()) > 1 and len(target.predecessors()) > 1
+    return len(source.successors()) > 1 and len(preds[target]) > 1
 
 
 def split_critical_edges(function: Function) -> int:
@@ -48,12 +50,15 @@ def split_critical_edges(function: Function) -> int:
     updated to route the incoming value through the new block.
     """
     split_count = 0
+    # A split swaps ``block`` for the new block among ``target``'s
+    # predecessors, so the counts taken here stay exact throughout.
+    preds = predecessor_map(function)
     for block in list(function.blocks):
         terminator = block.terminator
         if not isinstance(terminator, BranchInst) or not terminator.is_conditional():
             continue
         for target in list(terminator.targets()):
-            if not _needs_split(block, target):
+            if not _needs_split(block, target, preds):
                 continue
             middle = function.append_block(f"{block.name}.{target.name}.split")
             middle_branch = BranchInst(target)
@@ -136,6 +141,7 @@ def build_essa_function(function: Function) -> int:
         return 0
     split_critical_edges(function)
     dom_tree = DominatorTree.compute(function)
+    preds = predecessor_map(function)
     created = 0
     for block in list(function.blocks):
         terminator = block.terminator
@@ -147,7 +153,7 @@ def build_essa_function(function: Function) -> int:
         lhs, rhs = condition.lhs, condition.rhs
         for target, on_true_edge in ((terminator.true_target, True),
                                      (terminator.false_target, False)):
-            if target is None or len(target.predecessors()) != 1:
+            if target is None or len(preds[target]) != 1:
                 continue
             constraints = _constraints_for(condition.predicate, on_true_edge)
             if constraints is None:

@@ -225,6 +225,131 @@ class TestAnalysisManager:
         assert first.local_analysis is second.local_analysis
 
 
+class TestCanonicalCacheKeys:
+    """A parameter equal to its factory default shares the default entry."""
+
+    SOURCE = """
+    void fill(char* buf, int n) {
+      int i;
+      for (i = 0; i < n; i++) { buf[i] = 1; buf[i + 1] = 2; }
+    }
+    int main(int argc, char** argv) {
+      int n = atoi(argv[1]);
+      char* bytes = (char*)malloc(n + 1);
+      fill(bytes, n);
+      return 0;
+    }
+    """
+
+    @staticmethod
+    def _names(manager):
+        return [name for name, _ in manager.cached_items()]
+
+    def test_default_range_options_share_the_default_entry(self):
+        from repro.rangeanalysis.symbolic_ra import RangeAnalysisOptions
+        manager = AnalysisManager(compile_source(self.SOURCE))
+        default = manager.get(keys.RANGES)
+        assert manager.get(keys.RANGES, options=None) is default
+        assert manager.get(keys.RANGES, options=RangeAnalysisOptions()) is default
+        assert self._names(manager) == ["symbolic-ranges"]
+
+    def test_default_global_options_share_the_default_entry(self):
+        from repro.core.global_analysis import GlobalAnalysisOptions
+        from repro.rangeanalysis.symbolic_ra import RangeAnalysisOptions
+        manager = AnalysisManager(compile_source(self.SOURCE))
+        default = manager.get(keys.GLOBAL_RANGES)
+        spelled = manager.get(keys.GLOBAL_RANGES, options=GlobalAnalysisOptions(),
+                              range_options=RangeAnalysisOptions())
+        assert spelled is default
+        assert self._names(manager).count("global-ranges") == 1
+        assert self._names(manager).count("symbolic-ranges") == 1
+
+    def test_default_rbaa_options_share_the_default_entry(self):
+        from repro.core.global_analysis import GlobalAnalysisOptions
+        from repro.core.rbaa import RBAAOptions
+        from repro.rangeanalysis.symbolic_ra import RangeAnalysisOptions
+        manager = AnalysisManager(compile_source(self.SOURCE))
+        default = manager.get(keys.RBAA)
+        assert manager.get(keys.RBAA, options=RBAAOptions()) is default
+        nested = RBAAOptions(global_options=GlobalAnalysisOptions(),
+                             range_options=RangeAnalysisOptions())
+        assert manager.get(keys.RBAA, options=nested) is default
+        names = self._names(manager)
+        for name in ("rbaa", "symbolic-ranges", "global-ranges", "local-ranges"):
+            assert names.count(name) == 1, name
+
+    def test_non_default_options_build_distinct_entries(self):
+        from repro.core.rbaa import RBAAOptions
+        from repro.rangeanalysis.symbolic_ra import RangeAnalysisOptions
+        manager = AnalysisManager(compile_source(self.SOURCE))
+        default = manager.get(keys.RANGES)
+        custom_options = RangeAnalysisOptions(loads_as_symbols=False)
+        custom = manager.get(keys.RANGES, options=custom_options)
+        assert custom is not default
+        assert manager.get(keys.RANGES, options=custom_options) is custom
+        assert self._names(manager) == ["symbolic-ranges", "symbolic-ranges"]
+        # A non-default nested option makes the whole RBAA distinct, and it
+        # reuses the matching (non-default) bootstrap.
+        rbaa = manager.get(keys.RBAA, options=RBAAOptions(range_options=custom_options))
+        assert rbaa is not manager.get(keys.RBAA)
+        assert rbaa.ranges is custom
+        assert self._names(manager).count("symbolic-ranges") == 2
+
+    def test_dataclass_without_a_default_instance_keys_by_repr(self):
+        from dataclasses import dataclass
+
+        @dataclass
+        class Required:
+            level: int
+
+        key = AnalysisKey("required", lambda module, manager, options=None: object())
+        manager = AnalysisManager(compile_source(self.SOURCE))
+        first = manager.get(key, options=Required(1))
+        assert manager.get(key, options=Required(1)) is first
+        assert manager.get(key, options=Required(2)) is not first
+        assert manager.get(key) is not first
+
+    def test_clients_share_one_bootstrap_and_one_cfg_fact_per_function(
+            self, monkeypatch):
+        from collections import Counter
+
+        from repro.analysis.dominance import DominatorTree
+        from repro.analysis.loops import LoopInfo
+
+        module = compile_source(self.SOURCE)
+        computed = {"dominators": Counter(), "loops": Counter()}
+
+        def counting(cls, tag):
+            original = cls.compute.__func__
+
+            def compute(klass, function, *args, **kwargs):
+                computed[tag][function.name] += 1
+                return original(klass, function, *args, **kwargs)
+            monkeypatch.setattr(cls, "compute", classmethod(compute))
+
+        counting(DominatorTree, "dominators")
+        counting(LoopInfo, "loops")
+        manager = AnalysisManager(module)
+        rbaa = manager.get(keys.RBAA)
+        bounds = manager.get(keys.BOUNDS)
+        parallel = manager.get(keys.PARALLEL)
+        ranges = manager.get(keys.RANGES)
+        bounds.module_report()
+        parallel.module_report()
+        rbaa.query_many([(pair.a, pair.b) for pair in enumerate_query_pairs(module)])
+
+        names = self._names(manager)
+        assert names.count("symbolic-ranges") == 1
+        assert names.count("cfg-facts") == 1
+        assert rbaa.ranges is ranges and bounds.ranges is ranges
+        functions = {function.name: 1 for function in module.defined_functions()}
+        assert dict(computed["dominators"]) == functions
+        assert dict(computed["loops"]) == functions
+        facts = manager.get(keys.CFG_FACTS)
+        for function in module.defined_functions():
+            assert parallel.loop_info(function) is facts.loop_info(function)
+
+
 class TestBatchedQueries:
     SOURCE = """
     void f(int n) {

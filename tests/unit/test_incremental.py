@@ -267,3 +267,75 @@ class TestApplyFunctionEdit:
                 warm_answers = warm_analysis.query_many(warm_pairs)
                 cold_answers = cold_analysis.query_many(cold_pairs)
                 assert warm_answers == cold_answers, (key.name, fn_name)
+
+
+class TestSharedAnalysesUnderEdits:
+    """RBAA and both clients share one range bootstrap and one set of CFG
+    facts, so an edit refreshes each exactly once."""
+
+    def _manager_with_clients(self, module):
+        manager = AnalysisManager(module)
+        manager.get(keys.RBAA)
+        manager.get(keys.BOUNDS).module_report()
+        manager.get(keys.PARALLEL).module_report()
+        return manager
+
+    def test_edit_refreshes_the_bootstrap_once(self):
+        module, donor = _compile_pair()
+        manager = self._manager_with_clients(module)
+        old = module.replace_function(donor.get_function("fill"))
+        impact = manager.apply_function_edit(old, module.get_function("fill"))
+        assert impact.refreshed.count("symbolic-ranges") == 1
+        assert impact.refreshed.count("cfg-facts") == 1
+        assert impact.evicted == []
+
+    def test_edited_function_loop_forest_is_rebuilt(self, monkeypatch):
+        from repro.analysis.loops import LoopInfo
+
+        module, donor = _compile_pair()
+        manager = self._manager_with_clients(module)
+        facts = manager.get(keys.CFG_FACTS)
+        old = module.replace_function(donor.get_function("fill"))
+        old_forest = facts.loop_info(old)
+        kept_forest = facts.loop_info(module.get_function("scan"))
+        computed = []
+        original = LoopInfo.compute.__func__
+
+        def compute(cls, function, *args, **kwargs):
+            computed.append(function)
+            return original(cls, function, *args, **kwargs)
+        monkeypatch.setattr(LoopInfo, "compute", classmethod(compute))
+
+        new = module.get_function("fill")
+        manager.apply_function_edit(old, new)
+        report = manager.get(keys.PARALLEL).function_report(new)
+        assert computed == [new]
+        new_forest = facts.loop_info(new)
+        assert new_forest is not old_forest
+        assert [loop.header for loop in new_forest] \
+            == [loop.header for loop in LoopInfo.compute(new)]
+        assert len(report["loops"]) == len(new_forest)
+        # Unedited functions keep their facts.
+        assert facts.loop_info(module.get_function("scan")) is kept_forest
+
+    def test_session_counts_one_bootstrap(self):
+        from repro.service import AnalysisSession
+
+        cold = AnalysisManager(compile_source(SRC_V1, "prog"))
+        cold_ranges = cold.get(keys.RANGES)
+        cold_steps = cold_ranges.solver_statistics.steps
+        old = cold.module.replace_function(
+            compile_source(SRC_V2, "prog").get_function("fill"))
+        cold.apply_function_edit(old, cold.module.get_function("fill"))
+        refresh_steps = cold_ranges.solver_statistics.steps - cold_steps
+
+        session = AnalysisSession()
+        session.load_source("m", SRC_V1)
+        session.query_function("m", "rbaa", "fill")
+        session.check_bounds("m")
+        session.parallel_loops("m")
+        session.edit_source("m", SRC_V2)
+        session.check_bounds("m")
+        stats = session.stats("m")
+        assert stats["solver_steps_by_analysis"]["symbolic-ranges"] \
+            == cold_steps + refresh_steps
