@@ -4,7 +4,8 @@ The driver chains the explicit frontend stages (see
 :mod:`repro.frontend.stages`): scan → parse → analyze → lower → prepare.
 When a phase collector is active (:func:`repro.frontend.stages.collect_phases`)
 each stage's wall time plus token/instruction counts and determinism digests
-are recorded; otherwise the stages run without any timing overhead.
+are recorded; otherwise the same path times into a throwaway collector and
+skips the counts and digests.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .cparser import Parser
 from .lexer import tokenize
 from .lowering import lower_translation_unit
 from .sema import analyze
-from .stages import active_collector, module_digest, token_stream_digest
+from .stages import PhaseTimings, active_collector, module_digest, token_stream_digest
 
 __all__ = ["compile_source"]
 
@@ -38,19 +39,14 @@ def compile_source(source: str, name: str = "module", *,
         pipeline_options: overrides for the preparation pipeline.
     """
     collector = active_collector()
-    if collector is None:
-        unit = Parser(tokenize(source)).parse_translation_unit()
-        info = analyze(unit)
-        module = lower_translation_unit(unit, name, info)
-        if prepare:
-            prepare_module(module, pipeline_options)
-        return module
-
+    phases = collector if collector is not None else PhaseTimings()  # no-op sink
     start = perf_counter()
     tokens = tokenize(source)
     t_lex = perf_counter()
     unit = Parser(tokens).parse_translation_unit()
     t_parse = perf_counter()
+    if collector is None:
+        del tokens  # parsed: only a collector still reads the stream
     info = analyze(unit)
     t_sema = perf_counter()
     module = lower_translation_unit(unit, name, info)
@@ -59,17 +55,19 @@ def compile_source(source: str, name: str = "module", *,
         prepare_module(module, pipeline_options)
     t_prepare = perf_counter()
 
-    collector.lex_seconds += t_lex - start
-    collector.parse_seconds += t_parse - t_lex
-    collector.sema_seconds += t_sema - t_parse
-    collector.lower_seconds += t_lower - t_sema
-    collector.prepare_seconds += t_prepare - t_lower
-    collector.tokens += len(tokens)
-    collector.instructions += module.instruction_count()
-    # Digests chain across compiles so a collector spanning several modules
-    # still yields one order-sensitive deterministic fingerprint.
-    collector.token_digest = _chain(collector.token_digest, token_stream_digest(tokens))
-    collector.ir_digest = _chain(collector.ir_digest, module_digest(module))
+    phases.lex_seconds += t_lex - start
+    phases.parse_seconds += t_parse - t_lex
+    phases.sema_seconds += t_sema - t_parse
+    phases.lower_seconds += t_lower - t_sema
+    phases.prepare_seconds += t_prepare - t_lower
+    if collector is not None:
+        collector.tokens += len(tokens)
+        collector.instructions += module.instruction_count()
+        # Digests chain across compiles so a collector spanning several
+        # modules still yields one order-sensitive deterministic fingerprint.
+        collector.token_digest = _chain(collector.token_digest,
+                                        token_stream_digest(tokens))
+        collector.ir_digest = _chain(collector.ir_digest, module_digest(module))
     return module
 
 

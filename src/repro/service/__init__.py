@@ -1,9 +1,10 @@
 """The analysis service: resident modules, incremental edits, query traffic.
 
 * :mod:`repro.service.protocol` — the one versioned wire contract every
-  transport speaks: typed request dataclasses, the dispatch table,
+  transport speaks: the op table (each op declared once; request parsing,
+  dispatch, client methods and typed responses derive from it),
   structured ``error_code`` envelopes with request-``id`` echo, the
-  access-size schema, and client helpers.
+  access-size schema and the line framing.
 * :mod:`repro.service.session` — :class:`AnalysisSession`, the in-process
   API: modules stay resident with warm analysis state and cross-request
   query memos; single-function edits re-run only the invalidated cone;
@@ -12,10 +13,10 @@
   content-addressed result cache keyed by source digest + generator and
   protocol versions (warm restarts skip compile-and-bootstrap).
 * :mod:`repro.service.client` — :class:`ServiceClient`, the typed client
-  facade with one implementation per transport (in-process, stdio daemon,
-  TCP socket).
-* :mod:`repro.service.daemon` — a stdin/stdout daemon speaking
-  line-delimited JSON through the protocol layer.
+  facade (its methods derived from the op table) with one implementation
+  per transport (in-process, stdio daemon, TCP socket).
+* :mod:`repro.service.daemon` — a stdin/stdout daemon: one connection of
+  the protocol's line loop.
 * :mod:`repro.service.pool` / :mod:`repro.service.server` — the concurrent
   serving layer: an asyncio TCP front end batching and multiplexing onto a
   shared-nothing pool of worker processes sharded by module.
@@ -39,7 +40,7 @@ from .client import (
     ServiceClient,
     SocketClient,
 )
-from .daemon import handle_request, serve
+from .daemon import serve
 from .pool import WorkerPool
 from .protocol import (
     ERROR_CODES,
@@ -90,7 +91,6 @@ __all__ = [
     "check_response",
     "generate_plan",
     "handle_payload",
-    "handle_request",
     "make_request",
     "parse_request",
     "serve",

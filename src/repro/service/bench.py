@@ -3,10 +3,10 @@
 For each benchmark program an edit scenario
 (:func:`repro.benchgen.editscript.edit_scenario`) is replayed two ways:
 
-* **warm** — one resident session (optionally a real stdin/stdout daemon
-  subprocess with ``--daemon``) absorbs every edit through the
-  function-granular incremental path and answers the query sweep from warm
-  analysis state;
+* **warm** — one resident session (in process, or behind a real daemon
+  or socket-server subprocess with ``--transport``) absorbs every edit
+  through the function-granular incremental path and answers the query
+  sweep from warm analysis state;
 * **cold** — every step rebuilds the module and all analyses from scratch,
   exactly what every request paid before the service layer existed.
 
@@ -26,12 +26,13 @@ interprocedural gate — every edit step must re-solve strictly fewer
 
 All transports go through the typed :mod:`repro.service.client` API, so
 the benchmark exercises the same versioned wire contract as every other
-consumer; ``--daemon`` swaps the warm path onto a real stdin/stdout daemon
-subprocess and ``--socket`` onto the concurrent TCP server.
+consumer; ``--transport daemon`` swaps the warm path onto a real
+stdin/stdout daemon subprocess and ``--transport socket`` onto the
+concurrent TCP server.
 
 Command line::
 
-    python -m repro.service.bench --quick --daemon --check \
+    python -m repro.service.bench --quick --transport daemon --check \
         --out BENCH_service.json
 """
 
@@ -92,18 +93,14 @@ def _callgraph_steps(stats: Dict[str, Any]) -> int:
 
 
 def bench_program(name: str, edits: int, max_pairs: Optional[int],
-                  seed: int = 0, daemon: bool = False,
-                  transport: Optional[str] = None) -> Dict[str, Any]:
+                  seed: int = 0, transport: str = "inprocess") -> Dict[str, Any]:
     """Replay one program's edit scenario warm and cold; return the record.
 
-    ``transport`` picks the warm path's client (``inprocess`` / ``daemon``
-    / ``socket``); the legacy ``daemon=True`` flag means ``daemon``.
+    ``transport`` picks the warm path's client, one of :data:`TRANSPORTS`.
     """
     config = next(p for p in SUITE_PROGRAMS if p.name == name).config()
     scenario = edit_scenario(config, edits=edits, seed=seed)
 
-    if transport is None:
-        transport = "daemon" if daemon else "inprocess"
     warm_client = TRANSPORTS[transport]()
     steps: List[Dict[str, Any]] = []
     try:
@@ -180,9 +177,8 @@ def bench_program(name: str, edits: int, max_pairs: Optional[int],
 
 def run_bench(programs: Sequence[str], edits: int,
               max_pairs: Optional[int], seed: int = 0,
-              daemon: bool = False,
-              transport: Optional[str] = None) -> Dict[str, Any]:
-    records = [bench_program(name, edits, max_pairs, seed=seed, daemon=daemon,
+              transport: str = "inprocess") -> Dict[str, Any]:
+    records = [bench_program(name, edits, max_pairs, seed=seed,
                              transport=transport)
                for name in programs]
     return {
@@ -243,12 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="cap on enumerated pointer pairs per function")
     parser.add_argument("--seed", type=int, default=0,
                         help="edit scenario seed")
-    parser.add_argument("--daemon", action="store_true",
-                        help="drive the warm path through a real daemon "
-                             "subprocess (end-to-end)")
-    parser.add_argument("--socket", action="store_true",
-                        help="drive the warm path through the concurrent "
-                             "TCP server subprocess (end-to-end)")
+    parser.add_argument("--transport", choices=tuple(TRANSPORTS),
+                        default="inprocess",
+                        help="the warm path's client: in process, or a real "
+                             "daemon or TCP server subprocess (end-to-end)")
     parser.add_argument("--check", action="store_true",
                         help="exit 1 unless warm ≡ cold everywhere and the "
                              "warm path (overall and callgraph-scoped) wins "
@@ -267,15 +261,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.quick and max_pairs is None:
         max_pairs = QUICK_MAX_PAIRS
 
-    transport = "socket" if args.socket else ("daemon" if args.daemon
-                                              else "inprocess")
     started = time.perf_counter()
     record = run_bench(programs, edits, max_pairs, seed=args.seed,
-                       transport=transport)
+                       transport=args.transport)
     elapsed = time.perf_counter() - started
     record["run"] = {
-        "daemon": bool(args.daemon),
-        "transport": transport,
+        "transport": args.transport,
         "quick": bool(args.quick),
         "python": sys.version.split()[0],
         "total_wall_seconds": elapsed,

@@ -11,13 +11,13 @@ One :class:`ServiceClient` facade, one implementation per transport:
 * :class:`SocketClient` — the concurrent TCP server
   (``python -m repro.service.server``) over one connection.
 
-Every typed method builds its payload with
+The typed methods are derived from the protocol's op table
+(:data:`repro.service.protocol.REQUESTS`): one method per op, named and
+shaped by its entry, building its payload with
 :func:`repro.service.protocol.make_request` (stamping the mandatory ``"v"``)
-and validates the envelope with
-:func:`repro.service.protocol.check_response`, so client code never touches
-raw request dicts; the query-shaped ops return the protocol's typed response
-dataclasses.  Transports only implement :meth:`ServiceClient.call` — send
-one payload, return one decoded envelope.
+and returning what the entry declares — a typed response dataclass, one
+envelope key, or the checked envelope.  Transports only implement
+:meth:`ServiceClient.call` — send one payload, return one decoded envelope.
 
 Typed calls route through :meth:`ServiceClient.send`, which retries
 *transient* fault envelopes — exactly the codes in
@@ -31,7 +31,8 @@ caller owns that decision.  Retry counters surface via
 
 from __future__ import annotations
 
-import json
+import contextlib
+import inspect
 import os
 import random
 import re
@@ -40,23 +41,17 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import IO, Any, Callable, Dict, Optional
 
 from ..benchgen import stable_seed
 from .protocol import (
-    DEFAULT_SIZE,
+    REQUESTS,
     RETRYABLE_ERROR_CODES,
-    CheckBoundsResponse,
-    LoadResponse,
-    ParallelLoopsResponse,
-    QueryFunctionResponse,
-    QueryManyResponse,
-    QueryResponse,
-    RangeResponse,
+    Op,
     ServiceError,
-    ValuesResponse,
     check_response,
-    encode_size,
+    decode_line,
+    encode_line,
     handle_payload,
     make_request,
 )
@@ -180,87 +175,34 @@ class ServiceClient:
         :class:`~repro.service.protocol.ServiceError` with its stable code."""
         return check_response(self.send(make_request(op, id=id, **fields)))
 
-    # -- typed operations --------------------------------------------------------
-    def ping(self) -> bool:
-        return bool(self.request("ping")["pong"])
 
-    def load(self, name: str, source: str) -> LoadResponse:
-        return LoadResponse.from_envelope(
-            self.send(make_request("load", name=name, source=source)))
+def _client_method(op: Op) -> Callable[..., Any]:
+    """The typed :class:`ServiceClient` method sending ``op``: one parameter
+    per field in table order, optional ones defaulting to their wire default
+    (which is then left off the payload)."""
+    signature = inspect.Signature(
+        [inspect.Parameter("self", inspect.Parameter.POSITIONAL_OR_KEYWORD)] + [
+            inspect.Parameter(
+                name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                default=inspect.Parameter.empty if kind.required else kind.default)
+            for name, kind in op.kinds])
 
-    def load_program(self, name: str) -> LoadResponse:
-        return LoadResponse.from_envelope(
-            self.send(make_request("load_program", name=name)))
+    def method(self: ServiceClient, *args: Any, **kwargs: Any) -> Any:
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        fields = op.encode(bound.arguments)
+        return op.result_of(self.send(make_request(op.name, **fields)))
 
-    def edit(self, name: str, source: str) -> Dict[str, Any]:
-        """Apply an edited source; the envelope carries ``changed`` /
-        ``reloaded`` and the per-function incremental ``impacts``."""
-        return self.request("edit", name=name, source=source)
+    method.__name__ = op.client
+    method.__qualname__ = f"ServiceClient.{op.client}"
+    method.__doc__ = f"``{op.name}``: {op.doc}."
+    method.__signature__ = signature  # type: ignore[attr-defined]
+    return method
 
-    def query(self, module: str, analysis: str, function: str, a: str, b: str,
-              size_a: Any = DEFAULT_SIZE,
-              size_b: Any = DEFAULT_SIZE) -> QueryResponse:
-        fields: Dict[str, Any] = {"module": module, "analysis": analysis,
-                                  "function": function, "a": a, "b": b}
-        if size_a is not DEFAULT_SIZE:
-            fields["size_a"] = encode_size(size_a)
-        if size_b is not DEFAULT_SIZE:
-            fields["size_b"] = encode_size(size_b)
-        return QueryResponse.from_envelope(
-            self.send(make_request("query", **fields)))
 
-    def query_many(self, module: str, analysis: str, function: str,
-                   pairs: Sequence[Sequence[Any]]) -> QueryManyResponse:
-        return QueryManyResponse.from_envelope(self.send(make_request(
-            "query_many", module=module, analysis=analysis, function=function,
-            pairs=[list(pair) for pair in pairs])))
-
-    def query_function(self, module: str, analysis: str,
-                       function: Optional[str] = None,
-                       max_pairs: Optional[int] = None) -> QueryFunctionResponse:
-        fields: Dict[str, Any] = {"module": module, "analysis": analysis}
-        if function is not None:
-            fields["function"] = function
-        if max_pairs is not None:
-            fields["max_pairs"] = max_pairs
-        return QueryFunctionResponse.from_envelope(
-            self.send(make_request("query_function", **fields)))
-
-    def check_bounds(self, module: str,
-                     function: Optional[str] = None) -> CheckBoundsResponse:
-        fields: Dict[str, Any] = {"module": module}
-        if function is not None:
-            fields["function"] = function
-        return CheckBoundsResponse.from_envelope(
-            self.send(make_request("check_bounds", **fields)))
-
-    def parallel_loops(self, module: str,
-                       function: Optional[str] = None) -> ParallelLoopsResponse:
-        fields: Dict[str, Any] = {"module": module}
-        if function is not None:
-            fields["function"] = function
-        return ParallelLoopsResponse.from_envelope(
-            self.send(make_request("parallel_loops", **fields)))
-
-    def values(self, module: str, function: str) -> ValuesResponse:
-        return ValuesResponse.from_envelope(self.send(
-            make_request("values", module=module, function=function)))
-
-    def range_of(self, module: str, function: str, value: str) -> RangeResponse:
-        return RangeResponse.from_envelope(self.send(make_request(
-            "range", module=module, function=function, value=value)))
-
-    def stats(self, module: str) -> Dict[str, Any]:
-        return self.request("stats", module=module)
-
-    def modules(self) -> List[Dict[str, Any]]:
-        return self.request("modules")["modules"]
-
-    def unload(self, name: str) -> Dict[str, Any]:
-        return self.request("unload", name=name)
-
-    def shutdown(self) -> Dict[str, Any]:
-        return self.request("shutdown")
+for _op in REQUESTS.values():
+    setattr(ServiceClient, _op.client, _client_method(_op))
+del _op
 
 
 class InProcessClient(ServiceClient):
@@ -275,33 +217,46 @@ class InProcessClient(ServiceClient):
         return handle_payload(self._session, payload)
 
 
-class DaemonClient(ServiceClient):
-    """Drives a real daemon subprocess over line-delimited JSON."""
+class _LineClient(ServiceClient):
+    """The line protocol over a service subprocess: a transport only starts
+    the subprocess and picks the stream pair it talks over."""
+
+    _process: subprocess.Popen
+    _reader: IO[str]
+    _writer: IO[str]
+
+    def call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        self._writer.write(encode_line(payload))
+        self._writer.flush()
+        line = self._reader.readline()
+        if not line:
+            raise RuntimeError("service closed its stream mid-conversation")
+        return decode_line(line)
+
+    def close(self) -> None:
+        try:
+            self.shutdown()
+        except (ServiceError, RuntimeError, OSError):
+            self._process.kill()  # pragma: no cover - shutdown fallback
+        finally:
+            for stream in (self._writer, self._reader):
+                with contextlib.suppress(OSError):
+                    stream.close()
+        self._process.wait(timeout=30)
+
+
+class DaemonClient(_LineClient):
+    """Drives a real daemon subprocess over its stdin/stdout."""
 
     def __init__(self) -> None:
         self._process = subprocess.Popen(
             [sys.executable, "-m", "repro.service"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
             text=True, env=subprocess_env())
-
-    def call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        assert self._process.stdin is not None and self._process.stdout is not None
-        self._process.stdin.write(json.dumps(payload) + "\n")
-        self._process.stdin.flush()
-        line = self._process.stdout.readline()
-        if not line:
-            raise RuntimeError("daemon closed its stdout mid-conversation")
-        return json.loads(line)
-
-    def close(self) -> None:
-        try:
-            self.shutdown()
-        except (ServiceError, RuntimeError, BrokenPipeError, OSError):
-            self._process.kill()  # pragma: no cover - shutdown fallback
-        self._process.wait(timeout=30)
+        self._writer, self._reader = self._process.stdin, self._process.stdout
 
 
-class SocketClient(ServiceClient):
+class SocketClient(_LineClient):
     """Drives the concurrent TCP server (:mod:`repro.service.server`).
 
     The server subprocess announces its ephemeral port on stdout; the
@@ -313,29 +268,13 @@ class SocketClient(ServiceClient):
             [sys.executable, "-m", "repro.service.server",
              "--port", "0", "--workers", str(workers)],
             stdout=subprocess.PIPE, text=True, env=subprocess_env())
-        assert self._process.stdout is not None
         banner = self._process.stdout.readline()
         match = re.search(r":(\d+) ", banner)
         if not match:
             self._process.kill()
             raise RuntimeError(f"no port in server banner: {banner!r}")
-        self._socket = socket.create_connection(
+        connection = socket.create_connection(
             ("127.0.0.1", int(match.group(1))), timeout=60)
-        self._file = self._socket.makefile("rw", encoding="utf-8", newline="\n")
-
-    def call(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        self._file.write(json.dumps(payload) + "\n")
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise RuntimeError("server closed the connection mid-conversation")
-        return json.loads(line)
-
-    def close(self) -> None:
-        try:
-            self.shutdown()
-        except (ServiceError, RuntimeError, BrokenPipeError, OSError):
-            self._process.kill()  # pragma: no cover - shutdown fallback
-        finally:
-            self._socket.close()
-        self._process.wait(timeout=30)
+        self._reader = self._writer = connection.makefile(
+            "rw", encoding="utf-8", newline="\n")
+        connection.close()  # the file holds the connection until it closes

@@ -3,87 +3,14 @@
 Each request is one JSON object per line; each response is one JSON object
 per line, in request order.  The wire contract — versioning (``"v"``),
 request-``id`` echo, structured ``error_code`` envelopes, the access-size
-schema — is defined once in :mod:`repro.service.protocol`; this module is
-only the stdio transport around :func:`repro.service.protocol.handle_payload`
-(the daemon never dies on a bad request — only on EOF or ``shutdown``).
-
-Operations (``"op"``; request types live in ``protocol.REQUESTS``):
-
-=================  ==========================================================
-``ping``           liveness check; echoes ``{"pong": true}``
-``load``           ``{name, source}`` — compile and hold resident
-``load_program``   ``{name}`` — generate + compile a named suite program
-``edit``           ``{name, source}`` — incremental function-granular edit
-``query``          ``{module, analysis, function, a, b[, size_a, size_b]}``
-``query_many``     ``{module, analysis, function, pairs: [[a, b], …]}``
-``query_function`` ``{module, analysis[, function, max_pairs]}``
-``check_bounds``   ``{module[, function]}`` — per-access out-of-bounds
-                   verdicts (``safe`` / ``maybe-oob`` / ``definitely-oob``)
-``parallel_loops`` ``{module[, function]}`` — per-loop parallelizability
-                   with the first blocking reason
-``values``         ``{module, function}`` — queryable SSA value names
-``range``          ``{module, function, value}``
-``stats``          ``{module}`` — solver steps, cache + Figure-14 counters
-``modules``        list resident modules
-``unload``         ``{name}``
-``shutdown``       acknowledge and exit
-=================  ==========================================================
-
-Requests must carry ``"v"`` (protocol version; omissions and mismatches
-are rejected with ``error_code: "protocol_mismatch"``) and may carry
-``"id"`` (an arbitrary correlation token echoed verbatim on the
-response).  Failures are structured::
-
-    {"ok": false, "v": 1, "id": .., "error_code": "unknown_op",
-     "message": "..."}
-
-where ``error_code`` is one of ``protocol.ERROR_CODES`` (the deprecated
-pre-v1 free-form ``"error"`` string has completed its removal cycle):
-
-======================  =====================================================
-``protocol_mismatch``   ``"v"`` missing or unsupported — fix, don't retry
-``bad_request``         malformed payload (missing/ill-typed field, bad size
-                        word, bad ``timeout_ms``) — fix, don't retry
-``unknown_op``          ``op`` not in the table above — fix, don't retry
-``unknown_module``      module not resident — load it, don't retry
-``unknown_function``    no such function in the module
-``unknown_value``       no such SSA value name in the function
-``unknown_analysis``    analysis key not registered
-``edit_rejected``       edited source failed the frontend; resident module
-                        untouched
-``internal_error``      unexpected exception (a bug); payload echoed in
-                        ``message``
-``worker_unavailable``  pool front end only: the owning worker died with
-                        this request in flight.  **Retryable.**  Read-only
-                        requests are already retried transparently by the
-                        supervisor; a mutating request (``load`` / ``edit``
-                        / ``unload``) is *never* half-applied — an
-                        unacknowledged mutation is excluded from the replay
-                        journal, so resending applies it exactly once.
-``deadline_exceeded``   the request's ``timeout_ms`` budget expired — either
-                        the worker abandoned the solve cooperatively or the
-                        front end's wall-clock backstop fired.  **Not
-                        retryable blindly**: a backstopped mutating request
-                        may still have applied.
-``overloaded``          pool front end only: the shard is at its in-flight
-                        bound and shed the request unstarted.  **Retryable**
-                        after backoff.
-======================  =====================================================
-
-The retry contract is machine-readable: ``protocol.RETRYABLE_ERROR_CODES``
-(= ``{worker_unavailable, overloaded}``) is exactly the set a client may
-resend without idempotency reasoning; ``ServiceClient.send`` does so with
-seeded-jitter exponential backoff (``repro.service.client.RetryPolicy``).
-Requests may carry an additive ``timeout_ms`` field (non-negative integer;
-``0`` expires immediately); it bounds only non-mutating evaluation —
-mutating requests ignore the budget rather than risk a torn edit.
-
-Sizes (``size_a``/``size_b`` and 4-element ``query_many`` pairs): omit or
-``"default"`` for the pointee-size default; ``null`` or ``"unknown"`` for
-an unknown (unbounded) access extent; a non-negative integer for a byte
-count.  :func:`repro.service.protocol.coerce_size` is the single source of
-truth, so the schema round-trips identically through the in-process
-session, this daemon, and the socket server.
+schema, ``timeout_ms`` deadlines — and the ops themselves are defined once
+in :mod:`repro.service.protocol`: the op table is ``protocol.REQUESTS``
+(``--help`` lists it), and the error codes and their retry contract are
+``protocol.ERROR_CODES`` / ``protocol.RETRYABLE_ERROR_CODES``.  This module
+is only the stdio transport: one connection of
+:func:`repro.service.protocol.serve_lines` around
+:func:`repro.service.protocol.handle_payload` (the daemon never dies on a
+bad request — only on EOF or ``shutdown``).
 
 Usage::
 
@@ -97,60 +24,49 @@ restarts and module loads stay lazy while the store can answer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, IO, Optional
 
-from .protocol import BAD_REQUEST, error_envelope, handle_payload, request_id_of
+from .protocol import handle_payload, op_listing, serve_lines
 from .session import AnalysisSession
 from .store import ResultStore
 
-__all__ = ["handle_request", "serve", "main"]
-
-
-def handle_request(session: AnalysisSession,
-                   request: Dict[str, Any]) -> Dict[str, Any]:
-    """Dispatch one decoded request; returns the response envelope.
-
-    Thin alias of :func:`repro.service.protocol.handle_payload`, kept as
-    the historical in-process entry point (it never raises — errors come
-    back as structured envelopes).
-    """
-    return handle_payload(session, request)
+__all__ = ["serve", "main"]
 
 
 def serve(stdin: Optional[IO[str]] = None,
           stdout: Optional[IO[str]] = None,
           session: Optional[AnalysisSession] = None) -> int:
-    """Run the request loop until EOF or a ``shutdown`` request."""
+    """Run the request loop until EOF or a ``shutdown`` request.
+
+    The loop is the socket server's coroutine; it runs alone on its event
+    loop here, so the blocking stdio calls inside it delay no other task.
+    """
+    import asyncio  # only the daemon itself needs an event loop
+
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
     session = session if session is not None else AnalysisSession()
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            request: Any = json.loads(line)
-        except ValueError as error:
-            response = error_envelope(BAD_REQUEST,
-                                      f"invalid JSON: {error}", None)
-        else:
-            response = handle_payload(session, request)
-            # handle_payload never raises; a failure is already an envelope
-            # with the request id echoed for pipelined correlation.
-            assert "ok" in response, request_id_of(request)
-        stdout.write(json.dumps(response, sort_keys=True) + "\n")
+
+    async def readline() -> str:
+        return stdin.readline()
+
+    async def write(line: str) -> None:
+        stdout.write(line)
         stdout.flush()
-        if response.get("shutdown"):
-            return 0
+
+    async def answer(payload: Any) -> Dict[str, Any]:
+        return handle_payload(session, payload)
+
+    asyncio.run(serve_lines(readline, write, answer))
     return 0
 
 
 def main(argv: Optional[list] = None) -> int:  # pragma: no cover - subprocess
     parser = argparse.ArgumentParser(
         prog="python -m repro.service",
-        description="line-delimited JSON analysis daemon over stdin/stdout")
+        description="line-delimited JSON analysis daemon over stdin/stdout",
+        epilog=op_listing(), formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--store", metavar="DIR", default=None,
                         help="back the session with a persistent "
                              "content-addressed result store at DIR")

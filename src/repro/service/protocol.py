@@ -1,4 +1,4 @@
-"""One service protocol, every transport: typed requests, dispatch, envelopes.
+"""One service protocol, every transport: the op table, dispatch, envelopes.
 
 Every entry point into the analysis service — the in-process
 :class:`~repro.service.session.AnalysisSession`, the stdin/stdout daemon
@@ -39,19 +39,25 @@ place (:func:`coerce_size`) for every transport:
 * ``null`` or the string ``"unknown"`` — unbounded access extent;
 * a non-negative integer — that many bytes.
 
-Requests are dataclasses (one per op, registered in :data:`REQUESTS` — the
-dispatch table that replaced the daemon's if/elif chain); responses for the
-common query ops have typed counterparts (:class:`QueryResponse`, …) used
-by the bundled clients.  :func:`handle_payload` is the single entry point
-transports call: parse, dispatch, envelope — it never raises.
+Every op is declared once, as one :class:`Op` entry of :data:`REQUESTS`:
+its ordered fields, the field it routes on, whether it mutates session
+state, how it is served, the client method that sends it and what that
+method returns.  Request parsing and canonical encoding (one generic
+:class:`Request`), dispatch, the :class:`~repro.service.client.ServiceClient`
+methods, the typed responses (:class:`QueryResponse`, …) and the daemon's
+op listing are all derived from that table, so a new op is one entry plus
+the session method serving it.  :func:`handle_payload` is the single entry
+point transports call: parse, dispatch, envelope — it never raises; and
+:func:`serve_lines` is the line framing both stream transports run.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
+from dataclasses import dataclass, fields as dataclass_fields, make_dataclass
+from typing import (Any, Awaitable, Callable, ClassVar, Dict, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -74,16 +80,20 @@ __all__ = [
     "UNKNOWN_SIZE",
     "coerce_size",
     "encode_size",
-    "Request",
+    "Op",
     "REQUESTS",
+    "Request",
     "parse_request",
     "handle_payload",
     "success_envelope",
     "error_envelope",
+    "failure_envelope",
+    "op_listing",
     "make_request",
     "check_response",
     "encode_line",
     "decode_line",
+    "serve_lines",
     "LoadResponse",
     "QueryResponse",
     "QueryManyResponse",
@@ -223,7 +233,7 @@ def _parse_size_field(payload: Dict[str, Any], key: str) -> Any:
     return coerce_size(payload[key]) if key in payload else DEFAULT_SIZE
 
 
-# -- field helpers -------------------------------------------------------------
+# -- field kinds ---------------------------------------------------------------
 
 def _string(payload: Dict[str, Any], key: str) -> str:
     if key not in payload:
@@ -253,196 +263,11 @@ def _optional_int(payload: Dict[str, Any], key: str) -> Optional[int]:
     return value
 
 
-# -- typed requests ------------------------------------------------------------
-
-#: op name -> request type: the dispatch table (replaces the daemon's
-#: if/elif chain).  Populated by :func:`_register`.
-REQUESTS: Dict[str, Type["Request"]] = {}
-
-
-def _register(cls: Type["Request"]) -> Type["Request"]:
-    REQUESTS[cls.op] = cls
-    return cls
-
-
-def _parse_timeout_ms(payload: Dict[str, Any]) -> Optional[int]:
-    value = payload.get("timeout_ms")
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ServiceError(
-            f"field 'timeout_ms' must be a non-negative integer or null, "
-            f"got {value!r}")
-    return value
-
-
-@dataclass(kw_only=True)
-class Request:
-    """Base of every typed request; ``id`` echoes back on the response."""
-
-    op: ClassVar[str] = ""
-    #: Name of the field that addresses a resident module (``None`` for
-    #: module-less ops) — the socket front end shards on it.
-    route: ClassVar[Optional[str]] = None
-    #: Whether the op changes session state.  Mutating requests are
-    #: journaled by the supervisor (for crash replay) and are *not* retried
-    #: transparently on worker death — the client gets ``worker_unavailable``
-    #: and may safely retry, because an unacknowledged mutation was never
-    #: journaled.  They also skip the cooperative solver budget: aborting an
-    #: in-place incremental refresh would corrupt retained fixed points.
-    mutating: ClassVar[bool] = False
-
-    id: Any = None
-    #: Additive deadline (milliseconds).  ``None`` means no deadline — the
-    #: pre-PR-10 wire shape is untouched, so no protocol version bump.
-    timeout_ms: Optional[int] = None
-
-    def routing_module(self) -> Optional[str]:
-        """The module this request targets (sharding key), if any."""
-        return getattr(self, self.route) if self.route else None
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Request":
-        return cls(id=payload.get("id"),
-                   timeout_ms=_parse_timeout_ms(payload),
-                   **cls._parse(payload))
-
-    @classmethod
-    def _parse(cls, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {}
-
-    def to_payload(self) -> Dict[str, Any]:
-        """The canonical wire form (round-trips through :func:`parse_request`)."""
-        payload: Dict[str, Any] = {"op": self.op, "v": PROTOCOL_VERSION}
-        payload.update(self._encode())
-        if self.id is not None:
-            payload["id"] = self.id
-        if self.timeout_ms is not None:
-            payload["timeout_ms"] = self.timeout_ms
-        return payload
-
-    def _encode(self) -> Dict[str, Any]:
-        return {}
-
-    def apply(self, session: Any) -> Dict[str, Any]:
-        raise NotImplementedError
-
-
-@_register
-@dataclass(kw_only=True)
-class PingRequest(Request):
-    op: ClassVar[str] = "ping"
-
-    def apply(self, session: Any) -> Dict[str, Any]:
-        return {"pong": True}
-
-
-@_register
-@dataclass(kw_only=True)
-class LoadRequest(Request):
-    op: ClassVar[str] = "load"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-    source: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name"),
-                "source": _string(payload, "source")}
-
-    def _encode(self):
-        return {"name": self.name, "source": self.source}
-
-    def apply(self, session):
-        return session.load_source(self.name, self.source)
-
-
-@_register
-@dataclass(kw_only=True)
-class LoadProgramRequest(Request):
-    op: ClassVar[str] = "load_program"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name")}
-
-    def _encode(self):
-        return {"name": self.name}
-
-    def apply(self, session):
-        return session.load_program(self.name)
-
-
-@_register
-@dataclass(kw_only=True)
-class EditRequest(Request):
-    op: ClassVar[str] = "edit"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
-
-    name: str
-    source: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name"),
-                "source": _string(payload, "source")}
-
-    def _encode(self):
-        return {"name": self.name, "source": self.source}
-
-    def apply(self, session):
-        return session.edit_source(self.name, self.source)
-
-
-@_register
-@dataclass(kw_only=True)
-class QueryRequest(Request):
-    op: ClassVar[str] = "query"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: str
-    a: str
-    b: str
-    size_a: Any = DEFAULT_SIZE
-    size_b: Any = DEFAULT_SIZE
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _string(payload, "function"),
-                "a": _string(payload, "a"),
-                "b": _string(payload, "b"),
-                "size_a": _parse_size_field(payload, "size_a"),
-                "size_b": _parse_size_field(payload, "size_b")}
-
-    def _encode(self):
-        encoded = {"module": self.module, "analysis": self.analysis,
-                   "function": self.function, "a": self.a, "b": self.b}
-        if self.size_a is not DEFAULT_SIZE:
-            encoded["size_a"] = encode_size(self.size_a)
-        if self.size_b is not DEFAULT_SIZE:
-            encoded["size_b"] = encode_size(self.size_b)
-        return encoded
-
-    def apply(self, session):
-        return session.query(self.module, self.analysis, self.function,
-                             self.a, self.b, self.size_a, self.size_b)
-
-
-def _parse_pairs(payload: Dict[str, Any]) -> List[Tuple[str, str, Any, Any]]:
-    raw = payload.get("pairs")
+def _parse_pairs(payload: Dict[str, Any],
+                 key: str) -> List[Tuple[str, str, Any, Any]]:
+    raw = payload.get(key)
     if not isinstance(raw, list):
-        raise ServiceError("field 'pairs' must be a list of [a, b] or "
+        raise ServiceError(f"field {key!r} must be a list of [a, b] or "
                            "[a, b, size_a, size_b] entries")
     pairs: List[Tuple[str, str, Any, Any]] = []
     for entry in raw:
@@ -465,220 +290,280 @@ def encode_pair(a: str, b: str, size_a: Any, size_b: Any) -> List[Any]:
     return [a, b, encode_size(size_a), encode_size(size_b)]
 
 
-@_register
-@dataclass(kw_only=True)
-class QueryManyRequest(Request):
-    op: ClassVar[str] = "query_many"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: str
-    #: Normalised ``(a, b, size_a, size_b)`` tuples.
-    pairs: List[Tuple[str, str, Any, Any]]
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _string(payload, "function"),
-                "pairs": _parse_pairs(payload)}
-
-    def _encode(self):
-        return {"module": self.module, "analysis": self.analysis,
-                "function": self.function,
-                "pairs": [encode_pair(*pair) for pair in self.pairs]}
-
-    def apply(self, session):
-        return session.query_many(self.module, self.analysis, self.function,
-                                  [list(pair) for pair in self.pairs])
+def _encode_pairs(pairs: Sequence[Sequence[Any]]) -> List[List[Any]]:
+    # Anything but a four-element pair goes out as given: the service owns
+    # rejecting it with bad_request.
+    return [encode_pair(*pair) if len(pair) == 4 else list(pair)
+            for pair in pairs]
 
 
-@_register
-@dataclass(kw_only=True)
-class QueryFunctionRequest(Request):
-    op: ClassVar[str] = "query_function"
-    route: ClassVar[str] = "module"
-
-    module: str
-    analysis: str
-    function: Optional[str] = None
-    max_pairs: Optional[int] = None
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "analysis": _string(payload, "analysis"),
-                "function": _optional_string(payload, "function"),
-                "max_pairs": _optional_int(payload, "max_pairs")}
-
-    def _encode(self):
-        encoded = {"module": self.module, "analysis": self.analysis}
-        if self.function is not None:
-            encoded["function"] = self.function
-        if self.max_pairs is not None:
-            encoded["max_pairs"] = self.max_pairs
-        return encoded
-
-    def apply(self, session):
-        return session.query_function(self.module, self.analysis,
-                                      self.function, self.max_pairs)
+def _same(value: Any) -> Any:
+    return value
 
 
-@_register
-@dataclass(kw_only=True)
-class ValuesRequest(Request):
-    op: ClassVar[str] = "values"
-    route: ClassVar[str] = "module"
+#: Marks a field that has no default and is always on the wire.
+_REQUIRED = object()
 
-    module: str
-    function: str
+
+class _Kind(NamedTuple):
+    """How one field kind is parsed from, and written to, the wire."""
+
+    parse: Callable[[Dict[str, Any], str], Any]
+    encode: Callable[[Any], Any]
+    #: The default, which the canonical wire form leaves out.
+    default: Any = _REQUIRED
+
+    @property
+    def required(self) -> bool:
+        return self.default is _REQUIRED
+
+
+#: The field kinds an :class:`Op` may declare (``name:kind``; bare ``name``
+#: is a required string).
+_KINDS = {
+    "str": _Kind(_string, _same),
+    "str?": _Kind(_optional_string, _same, None),
+    "int?": _Kind(_optional_int, _same, None),
+    "size": _Kind(_parse_size_field, encode_size, DEFAULT_SIZE),
+    "pairs": _Kind(_parse_pairs, _encode_pairs),
+}
+
+
+# -- the op table --------------------------------------------------------------
+
+class _Response:
+    """Base of the typed responses: built from a (successful) envelope."""
 
     @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _string(payload, "function")}
-
-    def _encode(self):
-        return {"module": self.module, "function": self.function}
-
-    def apply(self, session):
-        return session.values(self.module, self.function)
-
-
-@_register
-@dataclass(kw_only=True)
-class RangeRequest(Request):
-    op: ClassVar[str] = "range"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: str
-    value: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _string(payload, "function"),
-                "value": _string(payload, "value")}
-
-    def _encode(self):
-        return {"module": self.module, "function": self.function,
-                "value": self.value}
-
-    def apply(self, session):
-        return session.range_of(self.module, self.function, self.value)
+    def from_envelope(cls, envelope: Dict[str, Any]):
+        check_response(envelope)
+        try:
+            return cls(**{spec.name: envelope[spec.name]
+                          for spec in dataclass_fields(cls)})
+        except KeyError as missing:
+            raise ServiceError(
+                f"response is missing field {missing} for {cls.__name__}")
 
 
-@_register
-@dataclass(kw_only=True)
-class CheckBoundsRequest(Request):
-    op: ClassVar[str] = "check_bounds"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: Optional[str] = None
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _optional_string(payload, "function")}
-
-    def _encode(self):
-        encoded = {"module": self.module}
-        if self.function is not None:
-            encoded["function"] = self.function
-        return encoded
-
-    def apply(self, session):
-        return session.check_bounds(self.module, self.function)
+#: Typed response classes by name, as the op table declares them.
+_RESPONSES: Dict[str, type] = {}
 
 
-@_register
-@dataclass(kw_only=True)
-class ParallelLoopsRequest(Request):
-    op: ClassVar[str] = "parallel_loops"
-    route: ClassVar[str] = "module"
-
-    module: str
-    function: Optional[str] = None
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module"),
-                "function": _optional_string(payload, "function")}
-
-    def _encode(self):
-        encoded = {"module": self.module}
-        if self.function is not None:
-            encoded["function"] = self.function
-        return encoded
-
-    def apply(self, session):
-        return session.parallel_loops(self.module, self.function)
+def _response_type(declared: Any) -> Optional[type]:
+    """Resolve an op's ``response``: ``("Name", "field …")`` declares a
+    frozen dataclass, a bare ``"Name"`` reuses one declared before."""
+    if declared is None:
+        return None
+    if isinstance(declared, str):
+        return _RESPONSES[declared]
+    name, names = declared
+    cls = make_dataclass(name, names.split(), bases=(_Response,), frozen=True)
+    cls.__module__ = __name__
+    _RESPONSES[name] = cls
+    return cls
 
 
-@_register
-@dataclass(kw_only=True)
-class StatsRequest(Request):
-    op: ClassVar[str] = "stats"
-    route: ClassVar[str] = "module"
-
-    module: str
-
-    @classmethod
-    def _parse(cls, payload):
-        return {"module": _string(payload, "module")}
-
-    def _encode(self):
-        return {"module": self.module}
-
-    def apply(self, session):
-        return session.stats(self.module)
-
-
-@_register
-@dataclass(kw_only=True)
-class ModulesRequest(Request):
-    op: ClassVar[str] = "modules"
-
-    def apply(self, session):
-        return {"modules": session.modules()}
-
-
-@_register
-@dataclass(kw_only=True)
-class UnloadRequest(Request):
-    op: ClassVar[str] = "unload"
-    route: ClassVar[str] = "name"
-    mutating: ClassVar[bool] = True
+@dataclass
+class Op:
+    """One service op, declared once; parsing, encoding, dispatch, the
+    client method and its typed response are all derived from it."""
 
     name: str
+    #: Ordered request fields, space separated: ``name`` (a required
+    #: string) or ``name:kind`` with a kind from :data:`_KINDS`.
+    fields: str = ""
+    #: The field naming the module the op addresses (``None`` for
+    #: module-less ops): the socket front end shards on it.
+    route: Optional[str] = None
+    #: Whether the op changes session state.  Mutating requests are
+    #: journaled by the supervisor (for crash replay) and are *not* retried
+    #: transparently on worker death — the client gets ``worker_unavailable``
+    #: and may safely retry, because an unacknowledged mutation was never
+    #: journaled.  They also skip the cooperative solver budget: aborting an
+    #: in-place incremental refresh would corrupt retained fixed points.
+    mutating: bool = False
+    #: The session method serving the op, called with the fields as keyword
+    #: arguments (default: the op name).
+    method: Optional[str] = None
+    #: The fixed result of an op answered without a session.
+    constant: Optional[Dict[str, Any]] = None
+    #: Key the session method's result is wrapped under.
+    wrap: Optional[str] = None
+    #: The :class:`~repro.service.client.ServiceClient` method (default:
+    #: the op name).
+    client: Optional[str] = None
+    #: What the client method returns: a typed response declared as
+    #: ``("Name", "field …")`` (or a bare ``"Name"`` declared earlier) ...
+    response: Any = None
+    #: ... else this key of the envelope, else the checked envelope itself.
+    unwrap: Optional[str] = None
+    #: One line for the op listing and the client method's docstring.
+    doc: str = ""
 
-    @classmethod
-    def _parse(cls, payload):
-        return {"name": _string(payload, "name")}
+    def __post_init__(self) -> None:
+        self.kinds: Tuple[Tuple[str, _Kind], ...] = tuple(
+            (name, _KINDS[kind or "str"])
+            for name, _, kind in (spec.partition(":")
+                                  for spec in self.fields.split()))
+        # parse() runs on every request: keep its loop to bare lookups.
+        self._parsers = tuple((name, kind.parse) for name, kind in self.kinds)
+        if self.method is None and self.constant is None:
+            self.method = self.name
+        self.client = self.client or self.name
+        self.response = _response_type(self.response)
 
-    def _encode(self):
-        return {"name": self.name}
+    def parse(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """The op's field values from a request payload."""
+        return {name: parse(payload, name) for name, parse in self._parsers}
 
-    def apply(self, session):
-        return session.unload(self.name)
+    def encode(self, values: Dict[str, Any]) -> Dict[str, Any]:
+        """The wire form of field values; a field at its default is left out."""
+        return {name: kind.encode(values[name]) for name, kind in self.kinds
+                if values[name] is not kind.default}
+
+    def apply(self, session: Any, values: Dict[str, Any]) -> Dict[str, Any]:
+        """Serve the op: its constant, or the session method's result."""
+        if self.constant is not None:
+            return dict(self.constant)
+        result = getattr(session, self.method)(**values)
+        return {self.wrap: result} if self.wrap else result
+
+    def result_of(self, envelope: Any) -> Any:
+        """What the client method returns for a response envelope."""
+        if self.response is not None:
+            return self.response.from_envelope(envelope)
+        checked = check_response(envelope)
+        return checked[self.unwrap] if self.unwrap else checked
 
 
-@_register
-@dataclass(kw_only=True)
-class ShutdownRequest(Request):
-    op: ClassVar[str] = "shutdown"
+#: op name -> :class:`Op`: the single declaration of every service op.
+REQUESTS: Dict[str, Op] = {op.name: op for op in (
+    Op("ping", constant={"pong": True}, unwrap="pong",
+       doc="liveness check"),
+    Op("load", "name source", route="name", mutating=True,
+       method="load_source",
+       response=("LoadResponse", "module functions instructions"),
+       doc="compile a source and hold it resident"),
+    Op("load_program", "name", route="name", mutating=True,
+       response="LoadResponse",
+       doc="generate and compile a named suite program"),
+    Op("edit", "name source", route="name", mutating=True,
+       method="edit_source",
+       doc="incremental function-granular edit; the envelope reports "
+           "changed, reloaded and impacts"),
+    Op("query", "module analysis function a b size_a:size size_b:size",
+       route="module",
+       response=("QueryResponse", "module analysis function a b result"),
+       doc="one alias query between two SSA values"),
+    Op("query_many", "module analysis function pairs:pairs", route="module",
+       response=("QueryManyResponse", "module analysis function results"),
+       doc="alias queries over [a, b] or [a, b, size_a, size_b] pairs"),
+    Op("query_function", "module analysis function:str? max_pairs:int?",
+       route="module",
+       response=("QueryFunctionResponse", "module analysis function "
+                 "queries no_alias no_alias_indices"),
+       doc="alias sweep over the enumerated pointer pairs"),
+    Op("values", "module function", route="module",
+       response=("ValuesResponse", "module function values"),
+       doc="the queryable SSA value names of one function"),
+    Op("range", "module function value", route="module", method="range_of",
+       client="range_of",
+       response=("RangeResponse", "module function value range"),
+       doc="the symbolic interval of one integer SSA value"),
+    Op("check_bounds", "module function:str?", route="module",
+       response=("CheckBoundsResponse", "module function functions summary"),
+       doc="per-access verdicts: safe / maybe-oob / definitely-oob"),
+    Op("parallel_loops", "module function:str?", route="module",
+       response=("ParallelLoopsResponse",
+                 "module function functions summary"),
+       doc="per-loop parallelizability with the first blocking reason"),
+    Op("stats", "module", route="module",
+       doc="solver steps, cache and Figure-14 counters"),
+    Op("modules", wrap="modules", unwrap="modules",
+       doc="list resident modules"),
+    Op("unload", "name", route="name", mutating=True,
+       doc="drop a resident module"),
+    Op("shutdown", constant={"shutdown": True},
+       doc="acknowledge and exit"),
+)}
 
-    def apply(self, session):
-        return {"shutdown": True}
+LoadResponse = _RESPONSES["LoadResponse"]
+QueryResponse = _RESPONSES["QueryResponse"]
+QueryManyResponse = _RESPONSES["QueryManyResponse"]
+QueryFunctionResponse = _RESPONSES["QueryFunctionResponse"]
+ValuesResponse = _RESPONSES["ValuesResponse"]
+RangeResponse = _RESPONSES["RangeResponse"]
+CheckBoundsResponse = _RESPONSES["CheckBoundsResponse"]
+ParallelLoopsResponse = _RESPONSES["ParallelLoopsResponse"]
 
 
-# -- parsing and dispatch ------------------------------------------------------
+def op_listing() -> str:
+    """The op table as text: the daemon's ``--help`` epilog."""
+    lines = ['ops (one JSON object per line: {"op": ..., "v": '
+             f'{PROTOCOL_VERSION}, "id": ..., fields}}):']
+    for op in REQUESTS.values():
+        lines.append(f"  {op.name:<15} {op.doc}")
+        if op.kinds:  # optional fields bracketed
+            fields = " ".join(name if kind.required else f"[{name}]"
+                              for name, kind in op.kinds)
+            lines.append(f"  {'':<15} fields: {fields}")
+    return "\n".join(lines)
+
+
+# -- requests, parsing and dispatch --------------------------------------------
+
+def _parse_timeout_ms(payload: Dict[str, Any]) -> Optional[int]:
+    value = payload.get("timeout_ms")
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ServiceError(
+            f"field 'timeout_ms' must be a non-negative integer or null, "
+            f"got {value!r}")
+    return value
+
+
+@dataclass
+class Request:
+    """One parsed request; ``id`` echoes back on the response."""
+
+    op: str
+    #: The op's field values, parsed and normalised.
+    fields: Dict[str, Any]
+    id: Any = None
+    #: Additive deadline (milliseconds).  ``None`` means no deadline and
+    #: leaves the wire shape as it was without one: no protocol version bump.
+    timeout_ms: Optional[int] = None
+
+    @property
+    def spec(self) -> Op:
+        return REQUESTS[self.op]
+
+    @property
+    def mutating(self) -> bool:
+        return self.spec.mutating
+
+    def routing_module(self) -> Optional[str]:
+        """The module this request targets (sharding key), if any."""
+        route = self.spec.route
+        return self.fields[route] if route else None
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The canonical wire form (round-trips through :func:`parse_request`)."""
+        payload: Dict[str, Any] = {"op": self.op, "v": PROTOCOL_VERSION}
+        payload.update(self.spec.encode(self.fields))
+        if self.id is not None:
+            payload["id"] = self.id
+        if self.timeout_ms is not None:
+            payload["timeout_ms"] = self.timeout_ms
+        return payload
+
+    def apply(self, session: Any) -> Dict[str, Any]:
+        return self.spec.apply(session, self.fields)
+
 
 def parse_request(payload: Any) -> Request:
-    """Decode one request payload into its typed dataclass.
+    """Decode one request payload through the op table.
 
     Raises :class:`ServiceError` with ``bad_request`` (not an object /
     malformed fields), ``protocol_mismatch`` (missing or wrong ``v``) or
@@ -695,15 +580,16 @@ def parse_request(payload: Any) -> Request:
         raise ServiceError(
             f"protocol version {version!r} is not supported "
             f"(this service speaks v{PROTOCOL_VERSION})", PROTOCOL_MISMATCH)
-    op = payload.get("op")
-    if not isinstance(op, str):
+    name = payload.get("op")
+    if not isinstance(name, str):
         raise ServiceError("request needs a string 'op' field")
-    request_type = REQUESTS.get(op)
-    if request_type is None:
+    op = REQUESTS.get(name)
+    if op is None:
         raise ServiceError(
-            f"unknown op {op!r} (known: {', '.join(sorted(REQUESTS))})",
+            f"unknown op {name!r} (known: {', '.join(sorted(REQUESTS))})",
             UNKNOWN_OP)
-    return request_type.from_payload(payload)
+    timeout_ms = _parse_timeout_ms(payload)
+    return Request(name, op.parse(payload), payload.get("id"), timeout_ms)
 
 
 def request_id_of(payload: Any) -> Any:
@@ -733,6 +619,20 @@ def error_envelope(code: str, message: str,
     if request_id is not None:
         envelope["id"] = request_id
     return envelope
+
+
+def failure_envelope(error: Exception, request_id: Any = None) -> Dict[str, Any]:
+    """The envelope of a request that raised ``error``.
+
+    A :class:`ServiceError` keeps its code; other malformed-input errors
+    (``KeyError``/``TypeError``/``ValueError``) are ``bad_request``;
+    anything else is a bug, answered with ``internal_error``.
+    """
+    if isinstance(error, ServiceError):
+        return error_envelope(error.code, str(error), request_id)
+    code = BAD_REQUEST if isinstance(error, (KeyError, TypeError, ValueError)) \
+        else INTERNAL_ERROR
+    return error_envelope(code, f"{type(error).__name__}: {error}", request_id)
 
 
 def _apply_with_deadline(request: Request, session: Any) -> Dict[str, Any]:
@@ -772,18 +672,55 @@ def handle_payload(session: Any, payload: Any) -> Dict[str, Any]:
     a malformed request yields the same ``error_code`` envelope (with the
     request id echoed) no matter which transport carried it.
     """
-    request_id = request_id_of(payload)
     try:
-        request = parse_request(payload)
-        return _apply_with_deadline(request, session)
-    except ServiceError as error:
-        return error_envelope(error.code, str(error), request_id)
-    except (KeyError, TypeError, ValueError) as error:
-        return error_envelope(BAD_REQUEST, f"{type(error).__name__}: {error}",
-                              request_id)
+        return _apply_with_deadline(parse_request(payload), session)
     except Exception as error:  # a request bug must not kill the transport
-        return error_envelope(INTERNAL_ERROR,
-                              f"{type(error).__name__}: {error}", request_id)
+        return failure_envelope(error, request_id_of(payload))
+
+
+# -- line framing --------------------------------------------------------------
+
+def encode_line(payload: Dict[str, Any]) -> str:
+    """One line-delimited JSON wire frame."""
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def decode_line(line: Union[str, bytes]) -> Any:
+    """The payload of one wire frame; invalid JSON is a ``bad_request``."""
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", errors="replace")
+    try:
+        return json.loads(line.strip())
+    except ValueError as error:
+        raise ServiceError(f"invalid JSON: {error}") from None
+
+
+async def serve_lines(readline: Callable[[], Awaitable[Any]],
+                      write: Callable[[str], Awaitable[None]],
+                      answer: Callable[[Any], Awaitable[Dict[str, Any]]]
+                      ) -> bool:
+    """The request loop of every line transport (stdio daemon, socket).
+
+    Reads frames until EOF, skipping blank lines; answers each payload,
+    or an undecodable line with a ``bad_request`` envelope; writes one
+    response frame per request, in order.  Returns ``True`` when a
+    ``shutdown`` request ended the stream, ``False`` on EOF.
+    """
+    while True:
+        line = await readline()
+        if not line:
+            return False
+        if not line.strip():
+            continue
+        try:
+            payload = decode_line(line)
+        except ServiceError as error:
+            response = failure_envelope(error)
+        else:
+            response = await answer(payload)
+        await write(encode_line(response))
+        if response.get("shutdown"):
+            return True
 
 
 # -- client-side helpers -------------------------------------------------------
@@ -805,92 +742,3 @@ def check_response(envelope: Any) -> Dict[str, Any]:
         return envelope
     raise ServiceError(str(envelope.get("message") or "request failed"),
                        envelope.get("error_code") or BAD_REQUEST)
-
-
-def encode_line(payload: Dict[str, Any]) -> str:
-    """One line-delimited JSON wire frame."""
-    return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def decode_line(line: str) -> Any:
-    return json.loads(line)
-
-
-class _Response:
-    """Mixin: build a typed response from a (successful) envelope."""
-
-    @classmethod
-    def from_envelope(cls, envelope: Dict[str, Any]):
-        check_response(envelope)
-        try:
-            return cls(**{spec.name: envelope[spec.name]
-                          for spec in dataclass_fields(cls)})
-        except KeyError as missing:
-            raise ServiceError(
-                f"response is missing field {missing} for {cls.__name__}")
-
-
-@dataclass(frozen=True)
-class LoadResponse(_Response):
-    module: str
-    functions: List[str]
-    instructions: int
-
-
-@dataclass(frozen=True)
-class QueryResponse(_Response):
-    module: str
-    analysis: str
-    function: str
-    a: str
-    b: str
-    result: str
-
-
-@dataclass(frozen=True)
-class QueryManyResponse(_Response):
-    module: str
-    analysis: str
-    function: str
-    results: List[str]
-
-
-@dataclass(frozen=True)
-class QueryFunctionResponse(_Response):
-    module: str
-    analysis: str
-    function: Optional[str]
-    queries: int
-    no_alias: int
-    no_alias_indices: List[int]
-
-
-@dataclass(frozen=True)
-class ValuesResponse(_Response):
-    module: str
-    function: str
-    values: List[Dict[str, Any]]
-
-
-@dataclass(frozen=True)
-class RangeResponse(_Response):
-    module: str
-    function: str
-    value: str
-    range: str
-
-
-@dataclass(frozen=True)
-class CheckBoundsResponse(_Response):
-    module: str
-    function: Optional[str]
-    functions: List[Dict[str, Any]]
-    summary: Dict[str, int]
-
-
-@dataclass(frozen=True)
-class ParallelLoopsResponse(_Response):
-    module: str
-    function: Optional[str]
-    functions: List[Dict[str, Any]]
-    summary: Dict[str, int]

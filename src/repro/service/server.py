@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import signal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -65,16 +64,13 @@ from .protocol import (
     BAD_REQUEST,
     DEADLINE_EXCEEDED,
     OVERLOADED,
-    ModulesRequest,
-    PingRequest,
-    QueryManyRequest,
-    QueryRequest,
     Request,
-    ServiceError,
-    ShutdownRequest,
     error_envelope,
+    failure_envelope,
+    make_request,
     parse_request,
     request_id_of,
+    serve_lines,
     success_envelope,
 )
 from .supervisor import WorkerSupervisor
@@ -178,11 +174,12 @@ class ServiceServer:
                 batch.append(queue.get_nowait())
             round_jobs = []
             groups: Dict[Tuple[str, str, str],
-                         List[Tuple[QueryRequest, asyncio.Future]]] = {}
+                         List[Tuple[Request, asyncio.Future]]] = {}
             for request, payload, reply in batch:
-                if isinstance(request, QueryRequest) \
-                        and request.timeout_ms is None:
-                    key = (request.module, request.analysis, request.function)
+                if request.op == "query" and request.timeout_ms is None:
+                    fields = request.fields
+                    key = (fields["module"], fields["analysis"],
+                           fields["function"])
                     groups.setdefault(key, []).append((request, reply))
                 else:
                     job = await supervisor.submit(
@@ -197,10 +194,11 @@ class ServiceServer:
                     round_jobs.append(self._deliver(job, reply))
                     continue
                 module, analysis, function = key
-                combined = QueryManyRequest(
-                    module=module, analysis=analysis, function=function,
-                    pairs=[(r.a, r.b, r.size_a, r.size_b)
-                           for r, _ in members])
+                combined = Request("query_many", {
+                    "module": module, "analysis": analysis,
+                    "function": function,
+                    "pairs": [(r.fields["a"], r.fields["b"], r.fields["size_a"],
+                               r.fields["size_b"]) for r, _ in members]})
                 self.batches += 1
                 self.batched_queries += len(members)
                 job = await supervisor.submit(shard, combined.to_payload())
@@ -221,7 +219,7 @@ class ServiceServer:
 
     @staticmethod
     async def _deliver_split(job: asyncio.Future,
-                             members: List[Tuple[QueryRequest,
+                             members: List[Tuple[Request,
                                                  asyncio.Future]]) -> None:
         """Split one coalesced ``query_many`` answer into per-query envelopes.
 
@@ -236,11 +234,12 @@ class ServiceServer:
             results = envelope.get("results", [])
             for (request, reply), result in zip(members, results):
                 if not reply.done():
+                    fields = request.fields
                     reply.set_result(success_envelope(request.id, {
-                        "module": request.module,
-                        "analysis": request.analysis,
-                        "function": request.function,
-                        "a": request.a, "b": request.b,
+                        "module": fields["module"],
+                        "analysis": fields["analysis"],
+                        "function": fields["function"],
+                        "a": fields["a"], "b": fields["b"],
                         "result": result}))
             return
         for request, reply in members:
@@ -252,27 +251,13 @@ class ServiceServer:
     # -- client handling -------------------------------------------------------
     async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
+        async def write(line: str) -> None:
+            writer.write(line.encode())
+            await writer.drain()
+
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                try:
-                    payload: Any = json.loads(text)
-                except ValueError as error:
-                    response = error_envelope(BAD_REQUEST,
-                                              f"invalid JSON: {error}", None)
-                else:
-                    response = await self._handle(payload)
-                writer.write(
-                    (json.dumps(response, sort_keys=True) + "\n").encode())
-                await writer.drain()
-                if response.get("shutdown"):
-                    self._shutdown.set()
-                    return
+            if await serve_lines(reader.readline, write, self._handle):
+                self._shutdown.set()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             return
         except asyncio.CancelledError:  # loop teardown with the client open
@@ -283,18 +268,11 @@ class ServiceServer:
     async def _handle(self, payload: Any) -> Dict[str, Any]:
         try:
             request = parse_request(payload)
-        except ServiceError as error:
-            return error_envelope(error.code, str(error),
-                                  request_id_of(payload))
-        except (KeyError, TypeError, ValueError) as error:
-            return error_envelope(BAD_REQUEST,
-                                  f"{type(error).__name__}: {error}",
-                                  request_id_of(payload))
-        if isinstance(request, PingRequest):
-            return success_envelope(request.id, {"pong": True})
-        if isinstance(request, ShutdownRequest):
-            return success_envelope(request.id, {"shutdown": True})
-        if isinstance(request, ModulesRequest):
+        except Exception as error:
+            return failure_envelope(error, request_id_of(payload))
+        if request.spec.constant is not None:  # answered without a session
+            return success_envelope(request.id, request.spec.constant)
+        if request.op == "modules":
             return await self._merged_modules(request)
         shard = self.pool.shard_of(request.routing_module())
         if self.max_inflight is not None \
@@ -331,9 +309,9 @@ class ServiceServer:
             request.timeout_ms / 1000.0 + self.deadline_grace, backstop)
         reply.add_done_callback(lambda _: handle.cancel())
 
-    async def _merged_modules(self, request: ModulesRequest) -> Dict[str, Any]:
+    async def _merged_modules(self, request: Request) -> Dict[str, Any]:
         """Fan ``modules`` out to every shard; merge listings in name order."""
-        jobs = [await self.supervisor.submit(shard, {"op": "modules", "v": 1})
+        jobs = [await self.supervisor.submit(shard, make_request("modules"))
                 for shard in range(len(self._queues))]
         envelopes = await asyncio.gather(*jobs)
         merged: List[Dict[str, Any]] = []
