@@ -26,10 +26,10 @@
   replays its journal of acknowledged mutating requests.
 * :mod:`repro.service.chaos` — the deterministic fault injector behind
   ``loadtest --chaos``: seeded kill/latency/corruption/truncation plans.
-* :mod:`repro.service.bench` — the cold-build vs warm-incremental
-  benchmark driven by seeded benchgen edit scenarios.
-* :mod:`repro.service.loadtest` — the closed-loop multi-client loadtest
-  (``BENCH_service.json``) gated on answer identity vs a serial session.
+* :mod:`repro.service.loadtest` — the one service driver: the closed-loop
+  multi-client loadtest gated on answer identity vs a serial session,
+  the ``--chaos`` fault drill, and the ``--edits`` warm-vs-cold edit
+  replay over any transport.
 """
 
 from .chaos import ChaosController, FaultPlan, generate_plan

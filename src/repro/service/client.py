@@ -92,6 +92,25 @@ class RetryPolicy:
     def note(self, code: str) -> None:
         self.retries_by_code[code] = self.retries_by_code.get(code, 0) + 1
 
+    def backoff(self, envelope: Any, attempt: int) -> Optional[float]:
+        """The delay before resending after ``envelope`` (the answer to
+        try number ``attempt``, 0-based), or ``None`` when it is final.
+
+        Only the codes in ``RETRYABLE_ERROR_CODES`` are retried, at most
+        :attr:`attempts` times; a retry is counted under its code, and a
+        request still answered with a retryable code once the budget is
+        spent counts as :attr:`exhausted`.
+        """
+        code = envelope.get("error_code") \
+            if isinstance(envelope, dict) else None
+        if code not in RETRYABLE_ERROR_CODES:
+            return None
+        if attempt >= self.attempts:
+            self.exhausted += 1
+            return None
+        self.note(code)
+        return self.delay_seconds(attempt)
+
     def stats(self) -> Dict[str, Any]:
         return {"attempts": self.attempts,
                 "retries_by_code": dict(sorted(self.retries_by_code.items())),
@@ -137,19 +156,13 @@ class ServiceClient:
         """
         if self.retry_policy is None:
             self.retry_policy = RetryPolicy()
-        policy = self.retry_policy
         attempt = 0
         while True:
             envelope = self.call(payload)
-            code = envelope.get("error_code") \
-                if isinstance(envelope, dict) else None
-            if code not in RETRYABLE_ERROR_CODES:
+            delay = self.retry_policy.backoff(envelope, attempt)
+            if delay is None:
                 return envelope
-            if attempt >= policy.attempts:
-                policy.exhausted += 1
-                return envelope
-            policy.note(code)
-            time.sleep(policy.delay_seconds(attempt))
+            time.sleep(delay)
             attempt += 1
 
     def retry_stats(self) -> Dict[str, Any]:

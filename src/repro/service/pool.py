@@ -62,30 +62,25 @@ def _worker_main(index: int, requests: Any, responses: Any,
     ``chaos`` is the deterministic fault spec of the chaos harness
     (:mod:`repro.service.chaos`): ``latency_by_id`` maps request ids to a
     sleep (seconds) injected *before* handling — how the harness makes a
-    worker wedge on one scripted request — and ``latency_by_ordinal`` maps
-    the 0-based arrival ordinal to a sleep.  Production runs pass ``None``.
+    worker wedge on one scripted request.  Production runs pass ``None``.
     """
     from .protocol import handle_payload
     from .session import AnalysisSession
     from .store import ResultStore
 
     latency_by_id = (chaos or {}).get("latency_by_id", {})
-    latency_by_ordinal = (chaos or {}).get("latency_by_ordinal", {})
     store = ResultStore(store_root) if store_root else None
     session = AnalysisSession(store=store)
-    ordinal = 0
     while True:
         job = requests.get()
         if job is None:
             responses.put(None)  # lets the front end's pump thread exit
             return
         job_id, payload = job
-        delay = latency_by_ordinal.get(str(ordinal))
-        if delay is None and isinstance(payload, dict):
-            delay = latency_by_id.get(str(payload.get("id")))
+        delay = latency_by_id.get(str(payload.get("id"))) \
+            if isinstance(payload, dict) else None
         if delay:
             time.sleep(float(delay))
-        ordinal += 1
         responses.put((job_id, handle_payload(session, payload)))
 
 
@@ -108,7 +103,7 @@ class WorkerPool:
     #: Shared result-store directory (``None`` disables persistence).
     store_root: Optional[str] = None
     #: Deterministic fault spec per shard index (chaos harness only):
-    #: ``{shard: {"latency_by_id": {...}, "latency_by_ordinal": {...}}}``.
+    #: ``{shard: {"latency_by_id": {request_id: seconds}}}``.
     chaos: Optional[Dict[int, Dict[str, Any]]] = None
     #: Lifetime respawn count (the supervisor's failovers land here).
     respawns: int = 0

@@ -19,7 +19,7 @@ from repro.benchgen import edit_scenario
 from repro.benchgen.suites import SUITE_PROGRAMS
 from repro.evaluation.parallel import strip_volatile
 from repro.service import AnalysisSession
-from repro.service.bench import bench_program, check_record
+from repro.service.loadtest import edit_gates, edit_program
 
 PROGRAM = "fixoutput"
 EDITS = 2
@@ -35,9 +35,9 @@ def test_warm_incremental_beats_cold_rebuild_with_identical_answers():
     """The acceptance gate: after each single-function edit the warm path
     re-runs strictly fewer solver steps than a cold rebuild while the query
     outcomes stay byte-identical."""
-    record = bench_program(PROGRAM, edits=EDITS, max_pairs=MAX_PAIRS)
+    record = edit_program(PROGRAM, edits=EDITS, max_pairs=MAX_PAIRS)
     assert record["totals"]["identical"] is True
-    assert check_record({"programs": [record]}) == []
+    assert all(edit_gates([record]).values())
     for step in record["steps"]:
         if step["index"] > 0:
             assert step["warm_solver_steps"] < step["cold_solver_steps"]
@@ -67,16 +67,16 @@ def test_figure14_counters_match_cold_rebuild_sums():
 
 
 def test_record_is_hash_seed_independent():
-    """The full bench record (modulo wall-time fields) is byte-identical
+    """The full edit-replay record (modulo wall-time fields) is byte-identical
     under different ``PYTHONHASHSEED`` values — resident state and the edit
     scripts introduce no hash-order dependence."""
     package_root = os.path.dirname(os.path.dirname(
         os.path.abspath(repro.__file__)))
     script = (
         "import json\n"
-        "from repro.service.bench import bench_program\n"
+        "from repro.service.loadtest import edit_program\n"
         "from repro.evaluation.parallel import strip_volatile\n"
-        f"record = bench_program({PROGRAM!r}, edits={EDITS}, "
+        f"record = edit_program({PROGRAM!r}, edits={EDITS}, "
         f"max_pairs={MAX_PAIRS})\n"
         "print(json.dumps(strip_volatile(record), sort_keys=True))\n"
     )
@@ -102,8 +102,8 @@ def test_record_is_hash_seed_independent():
 def test_daemon_replay_matches_in_process_record():
     """The stdin/stdout daemon and the in-process session are the same
     service: identical deterministic records for the same edit script."""
-    in_process = strip_volatile(bench_program(PROGRAM, edits=1,
-                                              max_pairs=MAX_PAIRS))
-    daemon = strip_volatile(bench_program(PROGRAM, edits=1, max_pairs=MAX_PAIRS,
-                                          transport="daemon"))
+    in_process = strip_volatile(edit_program(PROGRAM, edits=1,
+                                             max_pairs=MAX_PAIRS))
+    daemon = strip_volatile(edit_program(PROGRAM, edits=1, max_pairs=MAX_PAIRS,
+                                         transport="daemon"))
     assert in_process == daemon

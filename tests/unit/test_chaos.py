@@ -89,6 +89,25 @@ class TestRetryPolicy:
         assert stats["retries_by_code"] == {"overloaded": 2,
                                             "worker_unavailable": 1}
 
+    def test_backoff_decides_and_counts(self):
+        policy = RetryPolicy(attempts=1, seed="t")
+        shed = error_envelope("overloaded", "shed", 1)
+        assert policy.backoff(success_envelope(1, {}), 0) is None
+        assert policy.backoff(error_envelope("deadline_exceeded", "no", 1),
+                              0) is None
+        assert policy.backoff("not an envelope", 0) is None
+        assert policy.backoff(shed, 0) > 0
+        assert policy.backoff(shed, 1) is None  # the budget is spent
+        assert policy.stats()["retries_by_code"] == {"overloaded": 1}
+        assert policy.stats()["exhausted"] == 1
+
+    def test_zero_attempt_policy_retries_nothing(self):
+        policy = RetryPolicy(attempts=0)
+        assert policy.backoff(
+            error_envelope("worker_unavailable", "died", 1), 0) is None
+        assert policy.stats()["retries"] == 0
+        assert policy.stats()["exhausted"] == 1
+
 
 class _ScriptedClient(ServiceClient):
     """A fake transport answering from a canned envelope sequence."""
