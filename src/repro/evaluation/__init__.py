@@ -2,7 +2,14 @@
 
 from .ablation import ABLATION_VARIANTS, AblationVariant, format_ablation, run_ablation
 from .census import CensusResult, census_for_module, format_census, run_census, total_census
-from .harness import ProgramResult, QueryPair, enumerate_query_pairs, run_queries
+from .harness import (
+    ProgramResult,
+    QueryPair,
+    enumerate_query_pairs,
+    map_shards,
+    partition,
+    run_queries,
+)
 from .precision import (
     PrecisionReport,
     figure13_rows,
@@ -12,17 +19,7 @@ from .precision import (
     run_precision_experiment,
     standard_factories,
 )
-from .parallel import (
-    bench_record,
-    compare_bench_files,
-    map_shards,
-    merge_indexed,
-    partition,
-    resolve_jobs,
-    run_parallel_precision,
-    run_parallel_scalability,
-    strip_volatile,
-)
+from .parallel import bench_record, compare_bench_files, strip_volatile
 from .reporting import format_table, table_to_csv, to_canonical_json
 from .scalability import (
     ScalabilityPoint,
@@ -61,11 +58,7 @@ __all__ = [
     "bench_record",
     "compare_bench_files",
     "map_shards",
-    "merge_indexed",
     "partition",
-    "resolve_jobs",
-    "run_parallel_precision",
-    "run_parallel_scalability",
     "strip_volatile",
     "ScalabilityPoint",
     "ScalabilityReport",

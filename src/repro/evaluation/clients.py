@@ -13,42 +13,40 @@ accesses against the verdicts through :mod:`repro.clients.validate`:
   inside a loop reported parallelizable is a violation.
 
 Every violation carries a replayable ``(program, seed, access)`` triple.
-The runner shards over worker processes exactly like the soundness
-oracle (workers regenerate their programs; IR never crosses process
-boundaries), and the emitted ``BENCH_clients.json`` is canonical JSON —
-byte-identical across ``--jobs`` counts and ``PYTHONHASHSEED`` values
-once the volatile wall-time fields are stripped.
+The corpus, the interpreter run, the report header, the sharded run and
+the command line are the shared oracle runner's
+(:mod:`repro.evaluation.oracle`), and the emitted ``BENCH_clients.json``
+is canonical JSON — byte-identical across ``--jobs`` counts and
+``PYTHONHASHSEED`` values once the volatile wall-time fields are stripped
+(``python -m repro.evaluation.parallel --compare A.json B.json``).
 
 Command line::
 
     python -m repro.evaluation.clients --quick --jobs 2 \
         --out BENCH_clients.json --min-programs 50
-    python -m repro.evaluation.clients --compare A.json B.json
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
-from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
-from ..benchgen import (
-    GENERATOR_VERSION,
-    GeneratorConfig,
-    execution_inputs,
-    generate_module,
-    stable_seed,
-    suite_configs,
-)
-from ..clients.validate import ClientViolation, validate_bounds, validate_loops
+from ..benchgen import GeneratorConfig
+from ..clients.validate import validate_bounds, validate_loops
 from ..engine import keys
 from ..engine.manager import AnalysisManager
-from ..interp import Interpreter, InterpreterLimits
-from .parallel import compare_bench_files, map_shards, merge_indexed, \
-    partition, resolve_jobs
-from .reporting import to_canonical_json
+from ..interp import InterpreterLimits
+from .oracle import (
+    QUICK_EXTRA_PROGRAMS,
+    OracleCheck,
+    OracleReport,
+    execute,
+    fuzz_corpus,
+    oracle_main,
+    oracle_parser,
+    run_oracle,
+)
 
 __all__ = [
     "ClientCheck",
@@ -59,10 +57,6 @@ __all__ = [
     "run_clients",
     "main",
 ]
-
-#: Extra generated programs in the quick corpus (on top of the 22 suite
-#: programs): 22 + 34 = 56 ≥ the CI gate of 50.
-QUICK_EXTRA_PROGRAMS = 34
 
 #: The fuzz slice's idiom mix, weighted toward the shapes the clients
 #: classify non-trivially: provably-safe walks, off-by-one windows,
@@ -84,36 +78,18 @@ CLIENT_MIX: Dict[str, float] = {
 
 def clients_corpus(extra: int = QUICK_EXTRA_PROGRAMS,
                    seed: int = 17) -> List[GeneratorConfig]:
-    """The runner's corpus: every suite program plus ``extra`` fuzz programs.
-
-    The fuzz slice draws from :data:`CLIENT_MIX` with sizes cycling 3..8
-    idiom instances, seeded via :func:`stable_seed` so the corpus is
-    identical in every process and under every ``PYTHONHASHSEED``.
-    """
-    configs = suite_configs()
-    for index in range(max(0, extra)):
-        name = f"client_{index:02d}"
-        configs.append(GeneratorConfig(
-            name=name,
-            instances=3 + (index % 6),
-            seed=stable_seed(f"clients:{seed}:{name}", 1_000_000),
-            mix=dict(CLIENT_MIX),
-        ))
-    return configs
+    """The runner's corpus: every suite program plus ``extra`` fuzz programs
+    drawn from :data:`CLIENT_MIX`."""
+    return fuzz_corpus("client", "clients", extra, seed, mix=CLIENT_MIX)
 
 
 # -- result records -----------------------------------------------------------
 
 
 @dataclass
-class ClientCheck:
+class ClientCheck(OracleCheck):
     """Differential outcome for one corpus program (pure data, picklable)."""
 
-    program: str
-    seed: int
-    executed: bool = False
-    stop_reason: Optional[str] = None
-    steps: int = 0
     #: The bounds report's verdict counts (safe / maybe_oob /
     #: definitely_oob / accesses).
     bounds_summary: Dict[str, int] = field(default_factory=dict)
@@ -126,58 +102,31 @@ class ClientCheck:
     #: Claimed loop headers absent from the recomputed LoopInfo (stale
     #: report vs. module) — counted per claim, not per frame.
     loop_claims_stale: int = 0
-    violations: List[ClientViolation] = field(default_factory=list)
-    truncated: bool = False
 
 
-@dataclass
-class ClientsReport:
+class ClientsReport(OracleReport):
     """Aggregated differential results over a corpus."""
 
-    checks: List[ClientCheck] = field(default_factory=list)
+    def totals(self) -> Dict[str, int]:
+        totals = {"accesses_classified": self._verdicts("accesses")}
+        totals.update((verdict, self._verdicts(verdict))
+                      for verdict in ("safe", "maybe_oob", "definitely_oob"))
+        totals.update((name, self.total(name)) for name in (
+            "bounds_events_checked", "oob_events_observed", "loops",
+            "parallel_loops", "loop_frames_checked", "loop_frames_skipped",
+            "loop_claims_stale"))
+        return totals
 
-    def programs_executed(self) -> int:
-        return sum(1 for check in self.checks if check.executed)
+    def _verdicts(self, verdict: str) -> int:
+        return sum(check.bounds_summary.get(verdict, 0) for check in self.checks)
 
-    def violations(self) -> List[ClientViolation]:
-        return [violation for check in self.checks
-                for violation in check.violations]
-
-    def as_record(self, run_info: Optional[Dict[str, Any]] = None
-                  ) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "schema": 1,
-            "generator_version": GENERATOR_VERSION,
-            "programs": [asdict(check) for check in self.checks],
-            "totals": {
-                "programs": len(self.checks),
-                "programs_executed": self.programs_executed(),
-                "accesses_classified": sum(
-                    c.bounds_summary.get("accesses", 0) for c in self.checks),
-                "safe": sum(c.bounds_summary.get("safe", 0)
-                            for c in self.checks),
-                "maybe_oob": sum(c.bounds_summary.get("maybe_oob", 0)
-                                 for c in self.checks),
-                "definitely_oob": sum(c.bounds_summary.get("definitely_oob", 0)
-                                      for c in self.checks),
-                "bounds_events_checked": sum(c.bounds_events_checked
-                                             for c in self.checks),
-                "oob_events_observed": sum(c.oob_events_observed
-                                           for c in self.checks),
-                "loops": sum(c.loops for c in self.checks),
-                "parallel_loops": sum(c.parallel_loops for c in self.checks),
-                "loop_frames_checked": sum(c.loop_frames_checked
-                                           for c in self.checks),
-                "loop_frames_skipped": sum(c.loop_frames_skipped
-                                           for c in self.checks),
-                "loop_claims_stale": sum(c.loop_claims_stale
-                                         for c in self.checks),
-                "violations": len(self.violations()),
-            },
-        }
-        if run_info is not None:
-            record["run"] = dict(run_info)
-        return record
+    def summary(self, totals: Dict[str, int]) -> str:
+        return (f"{totals['accesses_classified']} accesses classified "
+                f"({totals['safe']} safe / {totals['maybe_oob']} maybe / "
+                f"{totals['definitely_oob']} definite), "
+                f"{totals['parallel_loops']}/{totals['loops']} loops parallel, "
+                f"{totals['bounds_events_checked']} events and "
+                f"{totals['loop_frames_checked']} loop frames checked")
 
 
 # -- per-program driver --------------------------------------------------------
@@ -196,16 +145,6 @@ def check_clients_program(program, *, detector_factory=None,
     config = program.config
     module = program.module
     check = ClientCheck(program=config.name, seed=config.seed)
-    inputs = execution_inputs(config)
-    replay = {
-        "program": config.name,
-        "seed": config.seed,
-        "instances": config.instances,
-        "rng_key": config.rng_key,
-        "mix": dict(sorted(config.mix.items())) if config.mix else None,
-        "argv": inputs.argv(),
-    }
-
     manager = AnalysisManager(module)
     detector = detector_factory(module, manager) if detector_factory \
         else manager.get(keys.BOUNDS)
@@ -217,12 +156,7 @@ def check_clients_program(program, *, detector_factory=None,
     check.loops = loops_report["summary"]["loops"]
     check.parallel_loops = loops_report["summary"]["parallel"]
 
-    interpreter = Interpreter(module, limits=limits)
-    trace = interpreter.run_main(inputs.argv())
-    check.executed = trace.completed
-    check.stop_reason = trace.stop_reason
-    check.steps = trace.steps
-    check.truncated = any(frame.truncated for frame in trace.frames)
+    trace, replay = execute(check, program, limits)
     check.oob_events_observed = sum(
         1 for event in trace.accesses if not event.in_extent)
 
@@ -240,122 +174,25 @@ def check_clients_program(program, *, detector_factory=None,
     return check
 
 
-# -- sharded corpus driver -----------------------------------------------------
-
-
-def _clients_shard_worker(
-        shard: Sequence[Tuple[int, GeneratorConfig, int]]
-) -> List[Tuple[int, ClientCheck]]:
-    """Check one shard of corpus programs (runs inside a worker process)."""
-    results: List[Tuple[int, ClientCheck]] = []
-    for corpus_index, config, max_steps in shard:
-        program = generate_module(config)
-        limits = InterpreterLimits(max_steps=max_steps)
-        results.append((corpus_index,
-                        check_clients_program(program, limits=limits)))
-    return results
+# -- corpus driver -------------------------------------------------------------
 
 
 def run_clients(configs: Optional[Sequence[GeneratorConfig]] = None,
                 jobs: Optional[int] = None,
                 max_steps: int = InterpreterLimits.max_steps) -> ClientsReport:
-    """Run the differential check over a corpus, sharded like the oracle."""
-    configs = list(configs if configs is not None else clients_corpus())
-    jobs = resolve_jobs(jobs)
-    items = [(index, config, max_steps)
-             for index, config in enumerate(configs)]
-    shards = partition(items, jobs)
-    checks = merge_indexed(map_shards(_clients_shard_worker, shards, jobs))
-    return ClientsReport(checks=checks)
-
-
-# -- command line --------------------------------------------------------------
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.clients",
-        description="Differential evaluation of the bounds and "
-                    "loop-parallelization clients versus concrete executions.")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: $REPRO_EVAL_JOBS or 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"CI smoke corpus: 22 suite programs + "
-                             f"{QUICK_EXTRA_PROGRAMS} fuzz programs")
-    parser.add_argument("--extra", type=int, default=None,
-                        help="number of generated fuzz programs beyond the suite")
-    parser.add_argument("--seed", type=int, default=17,
-                        help="base seed of the fuzz slice of the corpus")
-    parser.add_argument("--max-steps", type=int,
-                        default=InterpreterLimits.max_steps,
-                        help="interpreter step budget per program")
-    parser.add_argument("--min-programs", type=int, default=0,
-                        help="fail unless at least this many programs executed")
-    parser.add_argument("--check", action="store_true",
-                        help="gate mode: additionally require every corpus "
-                             "program to have executed to completion")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), default=None,
-                        help="compare two bench records (volatile fields "
-                             "stripped) instead of running")
-    parser.add_argument("--out", default="BENCH_clients.json",
-                        help="report output path")
-    return parser
+    """Run the differential check over a corpus (default: :func:`clients_corpus`)."""
+    return ClientsReport(checks=run_oracle(
+        check_clients_program, configs if configs is not None else clients_corpus(),
+        jobs, max_steps))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.compare is not None:
-        diffs = compare_bench_files(args.compare[0], args.compare[1])
-        for diff in diffs:
-            print(diff)
-        print(f"{len(diffs)} difference(s)")
-        return 1 if diffs else 0
-
-    extra = args.extra
-    if extra is None:
-        extra = QUICK_EXTRA_PROGRAMS if args.quick \
-            else 3 * QUICK_EXTRA_PROGRAMS
-    configs = clients_corpus(extra=extra, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-
-    started = time.perf_counter()
-    report = run_clients(configs, jobs=jobs, max_steps=args.max_steps)
-    elapsed = time.perf_counter() - started
-
-    record = report.as_record(run_info={
-        "jobs": jobs,
-        "quick": bool(args.quick),
-        "python": sys.version.split()[0],
-        "total_wall_seconds": elapsed,
-    })
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(to_canonical_json(record))
-
-    executed = report.programs_executed()
-    violations = report.violations()
-    totals = record["totals"]
-    print(f"wrote {args.out}: {executed}/{len(report.checks)} programs "
-          f"executed, {totals['accesses_classified']} accesses classified "
-          f"({totals['safe']} safe / {totals['maybe_oob']} maybe / "
-          f"{totals['definitely_oob']} definite), "
-          f"{totals['parallel_loops']}/{totals['loops']} loops parallel, "
-          f"{totals['bounds_events_checked']} events and "
-          f"{totals['loop_frames_checked']} loop frames checked, "
-          f"{len(violations)} violation(s) ({elapsed:.2f}s wall, jobs={jobs})")
-    for violation in violations[:20]:
-        print(f"  [{violation.kind}] {violation.program}/{violation.function} "
-              f"{violation.query} — {violation.detail}")
-    if violations:
-        return 1
-    if executed < args.min_programs:
-        print(f"only {executed} programs executed "
-              f"(< --min-programs {args.min_programs})")
-        return 2
-    if args.check and executed < len(report.checks):
-        print(f"--check: {len(report.checks) - executed} corpus program(s) "
-              f"did not execute to completion")
-        return 2
-    return 0
+    parser = oracle_parser("clients", "Differential evaluation of the bounds and "
+                           "loop-parallelization clients versus concrete "
+                           "executions.", seed=17, out="BENCH_clients.json")
+    args = parser.parse_args(argv)
+    return oracle_main(args, clients_corpus, lambda configs: run_clients(
+        configs, jobs=args.jobs, max_steps=args.max_steps))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 import inspect
 import itertools
+import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 from ..aliases.base import AliasAnalysis
 from ..aliases.results import AliasResult, MemoryAccess
@@ -26,12 +27,46 @@ from ..ir.module import Module
 
 __all__ = ["QueryPair", "ProgramResult", "enumerate_query_pairs", "run_queries",
            "AnalysisFactory", "build_analysis", "solver_breakdown",
-           "frontend_fingerprint"]
+           "frontend_fingerprint", "partition", "map_shards"]
 
 #: A callable building an analysis for a module (e.g. ``BasicAliasAnalysis``).
 #: Factories may additionally accept a keyword-only ``manager`` argument to
 #: share cached sub-analyses with the other factories of the same run.
 AnalysisFactory = Callable[[Module], AliasAnalysis]
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def partition(items: Sequence[T], shards: int) -> List[List[T]]:
+    """Split ``items`` into at most ``shards`` deterministic round-robin shards.
+
+    Shard ``i`` receives ``items[i::n]``.  Round-robin (rather than
+    contiguous blocks) balances corpora whose program sizes grow with
+    index; no shard is ever empty.
+    """
+    if not items:
+        return []
+    count = max(1, min(int(shards), len(items)))
+    return [list(items[index::count]) for index in range(count)]
+
+
+def map_shards(worker: Callable[[T], R], items: Sequence[T],
+               jobs: Optional[int] = 1) -> List[R]:
+    """``[worker(item) for item in items]``, fanned out over ``jobs`` processes.
+
+    The one fan-out of every experiment: ``worker`` is a top-level (hence
+    picklable) per-program function, and results come back in item order
+    whatever the scheduling.  ``jobs <= 1`` or a single item runs
+    in-process; otherwise ``Pool.map`` hands out one item at a time, and
+    each worker regenerates its programs — IR never crosses processes.
+    """
+    items = list(items)
+    jobs = max(1, jobs or 1)
+    if jobs == 1 or len(items) <= 1:
+        return [worker(item) for item in items]
+    with multiprocessing.get_context().Pool(processes=min(jobs, len(items))) as pool:
+        return pool.map(worker, items, chunksize=1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,23 +1,18 @@
-"""Sharded parallel evaluation runner.
+"""Parallel evaluation runner: the precision and scalability bench record.
 
 The paper's evaluation is embarrassingly parallel: every benchmark program
 is generated, compiled and analysed independently, and only the final
-tables aggregate across programs.  This module partitions the corpus into
-deterministic shards, fans each shard out to a ``multiprocessing`` worker —
-each worker regenerates its programs and constructs its own
-:class:`~repro.engine.manager.AnalysisManager` per module, since IR object
-graphs never cross process boundaries — and merges the per-shard results
-back into the exact corpus order the serial path produces.
+tables aggregate across programs.  Each experiment therefore has one
+per-program function, which its ``run_*`` entry point maps over the corpus
+through :func:`~repro.evaluation.harness.map_shards` — in-process at
+``jobs=1``, one program at a time per worker process otherwise (workers
+regenerate their programs; IR never crosses process boundaries).
 
-Determinism contract:
-
-* ``jobs=1`` (the default, also via ``REPRO_EVAL_JOBS``) takes the serial
-  code path unchanged — bit-identical to calling the experiments directly.
-* ``jobs>1`` produces the same reports modulo wall-time fields: query
-  counts, no-alias counts, solver-step totals and engine cache counters are
-  computed per program and merged in corpus order, so they cannot depend on
-  scheduling.  :func:`strip_volatile` removes exactly the wall-time-derived
-  fields; the CI determinism gate diffs what remains byte for byte.
+Determinism contract: results come back in corpus order and every counter
+is computed per program, so query counts, no-alias counts, solver-step
+totals and engine cache counters cannot depend on ``jobs`` or on
+scheduling.  :func:`strip_volatile` removes exactly the wall-time-derived
+fields; the CI determinism gate diffs what remains byte for byte.
 
 Command line::
 
@@ -30,37 +25,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
-import os
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, List, Optional, Sequence
 
-from ..benchgen import build_program, corpus_manifest, select_programs, suite_configs
-from ..engine.manager import AnalysisManager, ManagerStatistics
-from .harness import ProgramResult, frontend_fingerprint, run_queries
-from .precision import (
-    PrecisionReport,
-    run_precision_experiment,
-    standard_factories,
-)
+from ..benchgen import SUITE_PROGRAMS, corpus_manifest, suite_configs
+from ..engine.manager import ManagerStatistics
+from .harness import ProgramResult, map_shards, partition
+from .precision import PrecisionReport, run_precision_experiment
 from .reporting import to_canonical_json
 from .scalability import (
-    ScalabilityPoint,
     ScalabilityReport,
-    measure_point,
     run_scalability_experiment,
     scalability_configs,
 )
 
 __all__ = [
-    "JOBS_ENV",
-    "resolve_jobs",
     "partition",
-    "merge_indexed",
     "map_shards",
-    "run_parallel_precision",
-    "run_parallel_scalability",
     "bench_record",
     "strip_volatile",
     "diff_records",
@@ -68,9 +50,6 @@ __all__ = [
     "write_json",
     "main",
 ]
-
-#: Environment knob read when no explicit ``jobs`` argument is given.
-JOBS_ENV = "REPRO_EVAL_JOBS"
 
 #: Quick-mode corpus for the CI smoke + determinism-gate jobs: small suite
 #: programs plus a 12-point sweep — big enough that sharding pays off, small
@@ -80,115 +59,8 @@ QUICK_PRECISION_PROGRAMS = ("allroots", "fixoutput", "anagram", "ft",
 QUICK_MAX_PAIRS = 500
 QUICK_SCALABILITY_POINTS = 12
 
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """The worker count: explicit argument, else ``REPRO_EVAL_JOBS``, else 1."""
-    if jobs is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        try:
-            jobs = int(raw) if raw else 1
-        except ValueError:
-            jobs = 1
-    return max(1, int(jobs))
-
-
-def partition(items: Sequence[T], shards: int) -> List[List[T]]:
-    """Split ``items`` into at most ``shards`` deterministic round-robin shards.
-
-    Shard ``i`` receives ``items[i::n]``.  Round-robin (rather than
-    contiguous blocks) balances the Figure-15 sweep, whose program sizes
-    grow monotonically with index; no shard is ever empty.
-    """
-    if not items:
-        return []
-    count = max(1, min(int(shards), len(items)))
-    return [list(items[index::count]) for index in range(count)]
-
-
-def merge_indexed(shard_results: Sequence[Sequence[Tuple[int, R]]]) -> List[R]:
-    """Flatten per-shard ``(corpus_index, value)`` pairs back into corpus order."""
-    merged = [pair for shard in shard_results for pair in shard]
-    merged.sort(key=lambda pair: pair[0])
-    return [value for _, value in merged]
-
-
-def map_shards(worker: Callable[[T], R], payloads: Sequence[T],
-               jobs: Optional[int] = None) -> List[R]:
-    """``[worker(p) for p in payloads]``, fanned out over ``jobs`` processes.
-
-    Results come back in payload order (``Pool.map`` preserves it); with
-    ``jobs=1`` or a single payload no pool is created at all.
-    """
-    jobs = resolve_jobs(jobs)
-    payloads = list(payloads)
-    if jobs <= 1 or len(payloads) <= 1:
-        return [worker(payload) for payload in payloads]
-    with multiprocessing.get_context().Pool(processes=min(jobs, len(payloads))) as pool:
-        return pool.map(worker, payloads)
-
-
-# -- precision ----------------------------------------------------------------
-
-def _precision_shard_worker(
-        shard: Sequence[Tuple[int, str, Optional[int]]]
-) -> List[Tuple[int, ProgramResult]]:
-    """Evaluate one shard of suite programs (runs inside a worker process)."""
-    factories = standard_factories()
-    results: List[Tuple[int, ProgramResult]] = []
-    for corpus_index, name, max_pairs_per_function in shard:
-        program = build_program(name)
-        manager = AnalysisManager(program.module)
-        result = run_queries(name, program.module, factories,
-                             max_pairs_per_function, manager=manager)
-        result.frontend = frontend_fingerprint(program.source, program.module)
-        results.append((corpus_index, result))
-    return results
-
-
-def run_parallel_precision(program_names: Optional[Sequence[str]] = None,
-                           max_programs: Optional[int] = None,
-                           max_pairs_per_function: Optional[int] = None,
-                           jobs: Optional[int] = None) -> PrecisionReport:
-    """The Figure 13/14 experiment, sharded over ``jobs`` worker processes."""
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return run_precision_experiment(program_names, max_programs,
-                                        max_pairs_per_function)
-    names = [program.name for program in select_programs(program_names, max_programs)]
-    items = [(index, name, max_pairs_per_function)
-             for index, name in enumerate(names)]
-    shards = partition(items, jobs)
-    return PrecisionReport(results=merge_indexed(
-        map_shards(_precision_shard_worker, shards, jobs)))
-
-
-# -- scalability --------------------------------------------------------------
-
-def _scalability_shard_worker(shard) -> List[Tuple[int, ScalabilityPoint]]:
-    """Measure one shard of Figure-15 points (runs inside a worker process)."""
-    return [(corpus_index, measure_point(config)) for corpus_index, config in shard]
-
-
-def run_parallel_scalability(program_count: int = 50,
-                             smallest: int = 2,
-                             largest: int = 60,
-                             seed: int = 7,
-                             jobs: Optional[int] = None) -> ScalabilityReport:
-    """The Figure-15 sweep, sharded over ``jobs`` worker processes.
-
-    Solver-step counts ride along with each merged point, so the report's
-    hardware-independent cost totals are identical to the serial sweep's.
-    """
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1:
-        return run_scalability_experiment(program_count, smallest, largest, seed)
-    items = list(enumerate(scalability_configs(program_count, smallest, largest, seed)))
-    shards = partition(items, jobs)
-    return ScalabilityReport(points=merge_indexed(
-        map_shards(_scalability_shard_worker, shards, jobs)))
+#: Valid ``--programs`` names (an unknown name is a usage error).
+SUITE_NAMES = tuple(program.name for program in SUITE_PROGRAMS)
 
 
 # -- benchmark records --------------------------------------------------------
@@ -228,15 +100,9 @@ def bench_record(precision: Optional[PrecisionReport] = None,
     if precision is not None:
         totals = precision.totals()
         engine_totals = ManagerStatistics()
-        solver_totals: Dict[str, Dict[str, int]] = {}
         for result in precision.results:
             if result.engine:
                 engine_totals.merge(ManagerStatistics(**result.engine))
-            for problem, entry in result.solver.items():
-                bucket = solver_totals.setdefault(problem,
-                                                  {"steps": 0, "transfer_ns": 0})
-                bucket["steps"] += entry.get("steps", 0)
-                bucket["transfer_ns"] += entry.get("transfer_ns", 0)
         record["precision"] = {
             "programs": [_program_result_record(result) for result in precision.results],
             "totals": {
@@ -244,7 +110,7 @@ def bench_record(precision: Optional[PrecisionReport] = None,
                 "no_alias": dict(totals.no_alias),
                 "extra": {name: dict(extra) for name, extra in totals.extra.items()},
                 "engine": engine_totals.as_dict(),
-                "solver": solver_totals,
+                "solver": totals.solver,
             },
         }
     if scalability is not None:
@@ -330,14 +196,15 @@ def write_json(path: str, payload: Any) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation.parallel",
-        description="Sharded parallel evaluation runner (precision + scalability).")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default: ${JOBS_ENV} or 1)")
+        description="Parallel evaluation runner (precision + scalability).")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (default 1)")
     parser.add_argument("--quick", action="store_true",
                         help=f"CI smoke corpus: {len(QUICK_PRECISION_PROGRAMS)} "
                              f"small precision programs, "
                              f"{QUICK_SCALABILITY_POINTS} scalability points")
-    parser.add_argument("--programs", nargs="*", default=None, metavar="NAME",
+    parser.add_argument("--programs", nargs="+", default=None, metavar="NAME",
+                        choices=SUITE_NAMES,
                         help="restrict the precision suite to these programs")
     parser.add_argument("--max-programs", type=int, default=None)
     parser.add_argument("--max-pairs", type=int, default=None,
@@ -371,7 +238,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("identical modulo wall-time fields")
         return 0
 
-    jobs = resolve_jobs(args.jobs)
+    jobs = args.jobs
     programs = args.programs
     max_pairs = args.max_pairs
     points = args.points if args.points is not None else 50
@@ -381,9 +248,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         points = args.points if args.points is not None else QUICK_SCALABILITY_POINTS
 
     started = time.perf_counter()
-    precision = None if args.skip_precision else run_parallel_precision(
+    precision = None if args.skip_precision else run_precision_experiment(
         programs, args.max_programs, max_pairs, jobs=jobs)
-    scalability = None if args.skip_scalability else run_parallel_scalability(
+    scalability = None if args.skip_scalability else run_scalability_experiment(
         program_count=points, seed=args.seed, jobs=jobs)
     elapsed = time.perf_counter() - started
 

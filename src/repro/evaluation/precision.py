@@ -13,17 +13,20 @@ Run directly with ``python -m repro.evaluation.precision``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..aliases import BasicAliasAnalysis, CombinedAliasAnalysis, SCEVAliasAnalysis
-from ..benchgen import build_suite
+from ..benchgen import build_program, select_programs
 from ..core import RBAAAliasAnalysis
 from ..ir.module import Module
-from .harness import AnalysisFactory, ProgramResult, frontend_fingerprint, run_queries
+from .harness import (AnalysisFactory, ProgramResult, frontend_fingerprint, map_shards,
+                      run_queries)
 from .reporting import format_table
 
-__all__ = ["PrecisionReport", "standard_factories", "run_precision_experiment",
+__all__ = ["PrecisionReport", "standard_factories", "precision_program",
+           "run_precision_experiment",
            "figure13_rows", "figure14_rows", "format_figure13", "format_figure14"]
 
 #: Column order of Figure 13.
@@ -54,6 +57,11 @@ def standard_factories() -> List[Tuple[str, AnalysisFactory]]:
     ]
 
 
+def _accumulate(bucket: Dict[str, int], counts: Dict[str, int]) -> None:
+    for key, value in counts.items():
+        bucket[key] = bucket.get(key, 0) + value
+
+
 @dataclass
 class PrecisionReport:
     """All per-program results plus aggregate totals."""
@@ -61,15 +69,16 @@ class PrecisionReport:
     results: List[ProgramResult] = field(default_factory=list)
 
     def totals(self) -> ProgramResult:
+        """Corpus-wide sums of the per-program counters, including the
+        per-problem solver cost (``steps`` / ``transfer_ns``)."""
         total = ProgramResult(program="Total")
         for result in self.results:
             total.queries += result.queries
-            for name, count in result.no_alias.items():
-                total.no_alias[name] = total.no_alias.get(name, 0) + count
+            _accumulate(total.no_alias, result.no_alias)
             for name, extra in result.extra.items():
-                bucket = total.extra.setdefault(name, {})
-                for key, value in extra.items():
-                    bucket[key] = bucket.get(key, 0) + value
+                _accumulate(total.extra.setdefault(name, {}), extra)
+            for problem, cost in result.solver.items():
+                _accumulate(total.solver.setdefault(problem, {}), cost)
         return total
 
     def improvement_over_basic(self) -> float:
@@ -87,31 +96,29 @@ class PrecisionReport:
         return global_hits / rbaa_no_alias if rbaa_no_alias else 0.0
 
 
+def precision_program(name: str,
+                      max_pairs_per_function: Optional[int] = None) -> ProgramResult:
+    """The Figure 13/14 measurement of one suite program."""
+    program = build_program(name)
+    result = run_queries(name, program.module, standard_factories(),
+                         max_pairs_per_function)
+    result.frontend = frontend_fingerprint(program.source, program.module)
+    return result
+
+
 def run_precision_experiment(program_names: Optional[Sequence[str]] = None,
                              max_programs: Optional[int] = None,
                              max_pairs_per_function: Optional[int] = None,
                              jobs: int = 1) -> PrecisionReport:
-    """Build the synthetic suite and run the Figure 13/14 experiment.
+    """Run the Figure 13/14 experiment over (a slice of) the synthetic suite.
 
-    ``jobs > 1`` shards the suite over worker processes via
-    :func:`repro.evaluation.parallel.run_parallel_precision`; the merged
-    report lists the same programs in the same corpus order with identical
-    query and no-alias counts (only wall times differ).
+    Programs are measured over ``jobs`` worker processes and reported in
+    corpus order; only wall times depend on ``jobs``.
     """
-    if jobs > 1:
-        from .parallel import run_parallel_precision
-        return run_parallel_precision(program_names=program_names,
-                                      max_programs=max_programs,
-                                      max_pairs_per_function=max_pairs_per_function,
-                                      jobs=jobs)
-    suite = build_suite(program_names, max_programs)
-    factories = standard_factories()
-    report = PrecisionReport()
-    for name, program in suite.items():
-        result = run_queries(name, program.module, factories, max_pairs_per_function)
-        result.frontend = frontend_fingerprint(program.source, program.module)
-        report.results.append(result)
-    return report
+    names = [program.name for program in select_programs(program_names, max_programs)]
+    worker = functools.partial(precision_program,
+                               max_pairs_per_function=max_pairs_per_function)
+    return PrecisionReport(results=map_shards(worker, names, jobs))
 
 
 def figure13_rows(report: PrecisionReport) -> List[List[object]]:

@@ -27,7 +27,7 @@ breakdown, which ``--check-phases`` asserts in the perf-smoke job.
 
 Command line::
 
-    python -m repro.evaluation.profile --quick --out BENCH_profile.json
+    python -m repro.evaluation.profile --out BENCH_profile.json
     python -m repro.evaluation.profile --check-phases BENCH_profile.json
 """
 
@@ -48,6 +48,7 @@ from .parallel import (
     QUICK_MAX_PAIRS,
     QUICK_PRECISION_PROGRAMS,
     QUICK_SCALABILITY_POINTS,
+    SUITE_NAMES,
     write_json,
 )
 from .precision import run_precision_experiment
@@ -157,7 +158,6 @@ def profile_record(precision, scalability, stats: pstats.Stats, *,
                    compile_phases: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Assemble the ``BENCH_profile.json`` payload."""
     analyses: Dict[str, Dict[str, Any]] = {}
-    solver: Dict[str, Dict[str, int]] = {}
     for result in precision.results:
         for name in result.no_alias:
             entry = analyses.setdefault(name, {
@@ -165,10 +165,6 @@ def profile_record(precision, scalability, stats: pstats.Stats, *,
             entry["build_seconds"] += result.build_seconds.get(name, 0.0)
             entry["query_seconds"] += result.query_seconds.get(name, 0.0)
             entry["no_alias"] += result.no_alias.get(name, 0)
-        for problem, cost in result.solver.items():
-            bucket = solver.setdefault(problem, {"steps": 0, "transfer_ns": 0})
-            bucket["steps"] += cost.get("steps", 0)
-            bucket["transfer_ns"] += cost.get("transfer_ns", 0)
     for entry in analyses.values():
         entry["build_seconds"] = round(entry["build_seconds"], 6)
         entry["query_seconds"] = round(entry["query_seconds"], 6)
@@ -187,7 +183,7 @@ def profile_record(precision, scalability, stats: pstats.Stats, *,
             "scalability_solver_steps": scalability.total_solver_steps(),
         },
         "analyses": analyses,
-        "solver": solver,
+        "solver": precision.totals().solver,
         "symbolic_caches": compare_memo_stats(),
         "intern_table_size": intern_table_size(),
         "compile_phases": compile_phases or {},
@@ -240,12 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.evaluation.profile",
         description="cProfile the evaluation and attribute time per analysis.")
-    parser.add_argument("--quick", action="store_true",
-                        help="use the CI quick corpus (the default corpus "
-                             "too — the flag is accepted for symmetry with "
-                             "the parallel runner)")
-    parser.add_argument("--programs", nargs="*", default=None, metavar="NAME",
-                        help="precision programs to profile")
+    parser.add_argument("--programs", nargs="+", default=None, metavar="NAME",
+                        choices=SUITE_NAMES,
+                        help="precision programs to profile (default: the "
+                             "CI quick corpus)")
     parser.add_argument("--max-pairs", type=int, default=None)
     parser.add_argument("--points", type=int, default=QUICK_SCALABILITY_POINTS,
                         help="Figure-15 points to include")

@@ -25,6 +25,7 @@ from typing import List, Sequence
 
 from ..benchgen import GeneratorConfig, generate_module
 from ..engine import AnalysisManager, keys
+from .harness import map_shards
 from .reporting import format_table
 
 __all__ = ["ScalabilityPoint", "ScalabilityReport", "scalability_configs",
@@ -110,12 +111,7 @@ def scalability_configs(program_count: int = 50,
                         smallest: int = 2,
                         largest: int = 60,
                         seed: int = 7) -> List[GeneratorConfig]:
-    """Generator configs of the Figure-15 sweep, in corpus (size) order.
-
-    Both the serial loop below and the sharded parallel runner
-    (:mod:`repro.evaluation.parallel`) enumerate points through this helper,
-    so a merged parallel sweep is point-for-point the same corpus.
-    """
+    """Generator configs of the Figure-15 sweep, in corpus (size) order."""
     configs: List[GeneratorConfig] = []
     for index in range(program_count):
         if program_count > 1:
@@ -165,20 +161,11 @@ def run_scalability_experiment(program_count: int = 50,
                                jobs: int = 1) -> ScalabilityReport:
     """Generate ``program_count`` programs of increasing size and time the analysis.
 
-    ``jobs > 1`` fans the points out over worker processes via
-    :func:`repro.evaluation.parallel.run_parallel_scalability`; the merged
-    report carries the same points in the same order, with identical
-    instruction/pointer/solver-step counts (only wall times differ).
+    Points are measured over ``jobs`` worker processes and reported in
+    sweep order; only wall times depend on ``jobs``.
     """
-    if jobs > 1:
-        from .parallel import run_parallel_scalability
-        return run_parallel_scalability(program_count=program_count,
-                                        smallest=smallest, largest=largest,
-                                        seed=seed, jobs=jobs)
-    report = ScalabilityReport()
-    for config in scalability_configs(program_count, smallest, largest, seed):
-        report.points.append(measure_point(config))
-    return report
+    configs = scalability_configs(program_count, smallest, largest, seed)
+    return ScalabilityReport(points=map_shards(measure_point, configs, jobs))
 
 
 def format_figure15(report: ScalabilityReport) -> str:

@@ -17,9 +17,9 @@ interpreter (:mod:`repro.interp`):
   mention to their concretely observed values.
 
 Violations are reported with a replayable ``(program, seed, query)``
-triple.  The oracle shards over worker processes exactly like the
-benchmark runner (workers regenerate their programs; IR never crosses
-process boundaries).
+triple.  The corpus, the interpreter run, the report header, the sharded
+run and the command line are the shared oracle runner's
+(:mod:`repro.evaluation.oracle`); this module holds the claim checks.
 
 Command line::
 
@@ -29,10 +29,8 @@ Command line::
 
 from __future__ import annotations
 
-import argparse
 import sys
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..aliases import (
@@ -41,23 +39,25 @@ from ..aliases import (
     SteensgaardAliasAnalysis,
 )
 from ..aliases.results import MemoryAccess, NoAliasClaim
-from ..benchgen import (
-    GeneratorConfig,
-    execution_inputs,
-    generate_module,
-    stable_seed,
-    suite_configs,
-)
+from ..benchgen import GeneratorConfig
 from ..core import RBAAAliasAnalysis
 from ..engine.manager import AnalysisManager
-from ..interp import ExecutionTrace, Interpreter, InterpreterLimits, Pointer
+from ..interp import ExecutionTrace, InterpreterLimits, Pointer
 from ..interp.trace import FrameTrace
 from ..ir.function import Function
 from ..ir.values import Value
 from ..symbolic import evaluate
 from .harness import QueryPair, build_analysis, enumerate_query_pairs
-from .parallel import map_shards, merge_indexed, partition, resolve_jobs
-from .reporting import to_canonical_json
+from .oracle import (
+    QUICK_EXTRA_PROGRAMS,
+    OracleCheck,
+    OracleReport,
+    execute,
+    fuzz_corpus,
+    oracle_main,
+    oracle_parser,
+    run_oracle,
+)
 
 __all__ = [
     "Violation",
@@ -73,10 +73,6 @@ __all__ = [
 
 #: Default cap on enumerated pointer pairs per function (oracle workload).
 DEFAULT_MAX_PAIRS = 120
-
-#: Extra generated programs in the quick corpus (on top of the 22 suite
-#: programs): 22 + 34 = 56 ≥ the CI gate of 50.
-QUICK_EXTRA_PROGRAMS = 34
 
 #: Guard against quadratic blow-up when sweeping value-window pairs.
 _MAX_WINDOW_PRODUCT = 250_000
@@ -100,23 +96,9 @@ def soundness_factories() -> List[Tuple[str, Any]]:
 
 def soundness_corpus(extra: int = QUICK_EXTRA_PROGRAMS,
                      seed: int = 11) -> List[GeneratorConfig]:
-    """The oracle's corpus: every suite program plus ``extra`` fuzz programs.
-
-    The fuzz programs draw from the full idiom pool (uniform mix) with
-    sizes cycling 3..8 idiom instances, seeded via :func:`stable_seed` so
-    the corpus is identical in every process and under every
-    ``PYTHONHASHSEED`` — a violation's ``(program, seed)`` pair replays
-    exactly.
-    """
-    configs = suite_configs()
-    for index in range(max(0, extra)):
-        name = f"sound_{index:02d}"
-        configs.append(GeneratorConfig(
-            name=name,
-            instances=3 + (index % 6),
-            seed=stable_seed(f"soundness:{seed}:{name}", 1_000_000),
-        ))
-    return configs
+    """The oracle's corpus: every suite program plus ``extra`` fuzz programs
+    drawn from the full idiom pool."""
+    return fuzz_corpus("sound", "soundness", extra, seed)
 
 
 # -- result records -----------------------------------------------------------
@@ -136,14 +118,9 @@ class Violation:
 
 
 @dataclass
-class ProgramCheck:
+class ProgramCheck(OracleCheck):
     """Oracle outcome for one corpus program (pure data, picklable)."""
 
-    program: str
-    seed: int
-    executed: bool = False
-    stop_reason: Optional[str] = None
-    steps: int = 0
     queries: int = 0
     #: analysis name -> number of no-alias verdicts it produced.
     no_alias_claims: Dict[str, int] = field(default_factory=dict)
@@ -151,39 +128,19 @@ class ProgramCheck:
     claims_skipped: int = 0
     range_values_checked: int = 0
     range_values_skipped: int = 0
-    violations: List[Violation] = field(default_factory=list)
-    truncated: bool = False
 
 
-@dataclass
-class SoundnessReport:
+class SoundnessReport(OracleReport):
     """Aggregated oracle results over a corpus."""
 
-    checks: List[ProgramCheck] = field(default_factory=list)
+    def totals(self) -> Dict[str, int]:
+        return {name: self.total(name) for name in (
+            "claims_checked", "claims_skipped",
+            "range_values_checked", "range_values_skipped")}
 
-    def programs_executed(self) -> int:
-        return sum(1 for check in self.checks if check.executed)
-
-    def violations(self) -> List[Violation]:
-        return [violation for check in self.checks for violation in check.violations]
-
-    def as_record(self, run_info: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        record: Dict[str, Any] = {
-            "schema": 1,
-            "programs": [asdict(check) for check in self.checks],
-            "totals": {
-                "programs": len(self.checks),
-                "programs_executed": self.programs_executed(),
-                "claims_checked": sum(c.claims_checked for c in self.checks),
-                "claims_skipped": sum(c.claims_skipped for c in self.checks),
-                "range_values_checked": sum(c.range_values_checked for c in self.checks),
-                "range_values_skipped": sum(c.range_values_skipped for c in self.checks),
-                "violations": len(self.violations()),
-            },
-        }
-        if run_info is not None:
-            record["run"] = dict(run_info)
-        return record
+    def summary(self, totals: Dict[str, int]) -> str:
+        return (f"{totals['claims_checked']} claims and "
+                f"{totals['range_values_checked']} ranges checked")
 
 
 # -- ground-truth helpers ------------------------------------------------------
@@ -445,16 +402,6 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
     config = program.config
     module = program.module
     check = ProgramCheck(program=config.name, seed=config.seed)
-    inputs = execution_inputs(config)
-    replay = {
-        "program": config.name,
-        "seed": config.seed,
-        "instances": config.instances,
-        "rng_key": config.rng_key,
-        "mix": dict(sorted(config.mix.items())) if config.mix else None,
-        "argv": inputs.argv(),
-    }
-
     manager = AnalysisManager(module)
     analyses = [(name, build_analysis(factory, module, manager))
                 for name, factory in (factories or soundness_factories())]
@@ -479,13 +426,7 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
             pair = pairs[index]
             claims.append((name, pair, analysis.no_alias_context(pair.a, pair.b)))
 
-    interpreter = Interpreter(module, limits=limits)
-    trace = interpreter.run_main(inputs.argv())
-    check.executed = trace.completed
-    check.stop_reason = trace.stop_reason
-    check.steps = trace.steps
-    check.truncated = any(frame.truncated for frame in trace.frames)
-
+    trace, replay = execute(check, program, limits)
     symbols = _SymbolTable(range_oracle.kernel_bindings(), trace)
 
     for name, pair, claim in claims:
@@ -517,105 +458,29 @@ def check_program(program, *, factories: Optional[Sequence[Tuple[str, Any]]] = N
     return check
 
 
-# -- sharded corpus driver -----------------------------------------------------
-
-
-def _soundness_shard_worker(
-        shard: Sequence[Tuple[int, GeneratorConfig, Optional[int], int]]
-) -> List[Tuple[int, ProgramCheck]]:
-    """Check one shard of corpus programs (runs inside a worker process)."""
-    results: List[Tuple[int, ProgramCheck]] = []
-    for corpus_index, config, max_pairs, max_steps in shard:
-        program = generate_module(config)
-        limits = InterpreterLimits(max_steps=max_steps)
-        results.append((corpus_index, check_program(
-            program, max_pairs_per_function=max_pairs, limits=limits)))
-    return results
+# -- corpus driver -------------------------------------------------------------
 
 
 def run_soundness(configs: Optional[Sequence[GeneratorConfig]] = None,
                   jobs: Optional[int] = None,
                   max_pairs_per_function: Optional[int] = DEFAULT_MAX_PAIRS,
                   max_steps: int = InterpreterLimits.max_steps) -> SoundnessReport:
-    """Run the oracle over a corpus, sharded like the benchmark runner."""
-    configs = list(configs if configs is not None else soundness_corpus())
-    jobs = resolve_jobs(jobs)
-    items = [(index, config, max_pairs_per_function, max_steps)
-             for index, config in enumerate(configs)]
-    shards = partition(items, jobs)
-    checks = merge_indexed(map_shards(_soundness_shard_worker, shards, jobs))
-    return SoundnessReport(checks=checks)
-
-
-# -- command line --------------------------------------------------------------
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.evaluation.soundness",
-        description="Differential soundness oracle: alias verdicts and "
-                    "symbolic ranges versus concrete executions.")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: $REPRO_EVAL_JOBS or 1)")
-    parser.add_argument("--quick", action="store_true",
-                        help=f"CI smoke corpus: 22 suite programs + "
-                             f"{QUICK_EXTRA_PROGRAMS} fuzz programs")
-    parser.add_argument("--extra", type=int, default=None,
-                        help="number of generated fuzz programs beyond the suite")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="base seed of the fuzz slice of the corpus")
-    parser.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS,
-                        help="cap on enumerated pointer pairs per function")
-    parser.add_argument("--max-steps", type=int, default=InterpreterLimits.max_steps,
-                        help="interpreter step budget per program")
-    parser.add_argument("--min-programs", type=int, default=0,
-                        help="fail unless at least this many programs executed")
-    parser.add_argument("--out", default="SOUNDNESS_REPORT.json",
-                        help="report output path")
-    return parser
+    """Run the oracle over a corpus (default: :func:`soundness_corpus`)."""
+    return SoundnessReport(checks=run_oracle(
+        check_program, configs if configs is not None else soundness_corpus(),
+        jobs, max_steps, max_pairs_per_function=max_pairs_per_function))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
-    extra = args.extra
-    if extra is None:
-        # Quick mode is the CI smoke corpus (56 programs); the full run
-        # sweeps a larger fuzz slice.
-        extra = QUICK_EXTRA_PROGRAMS if args.quick else 3 * QUICK_EXTRA_PROGRAMS
-    configs = soundness_corpus(extra=extra, seed=args.seed)
-    jobs = resolve_jobs(args.jobs)
-
-    started = time.perf_counter()
-    report = run_soundness(configs, jobs=jobs,
-                           max_pairs_per_function=args.max_pairs,
-                           max_steps=args.max_steps)
-    elapsed = time.perf_counter() - started
-
-    record = report.as_record(run_info={
-        "jobs": jobs,
-        "quick": bool(args.quick),
-        "python": sys.version.split()[0],
-        "total_wall_seconds": elapsed,
-    })
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(to_canonical_json(record))
-
-    executed = report.programs_executed()
-    violations = report.violations()
-    print(f"wrote {args.out}: {executed}/{len(report.checks)} programs executed, "
-          f"{record['totals']['claims_checked']} claims and "
-          f"{record['totals']['range_values_checked']} ranges checked, "
-          f"{len(violations)} violation(s) ({elapsed:.2f}s wall, jobs={jobs})")
-    for violation in violations[:20]:
-        print(f"  [{violation.kind}] {violation.program}/{violation.function} "
-              f"{violation.analysis}: {violation.query} — {violation.detail}")
-    if violations:
-        return 1
-    if executed < args.min_programs:
-        print(f"only {executed} programs executed "
-              f"(< --min-programs {args.min_programs})")
-        return 2
-    return 0
+    parser = oracle_parser("soundness", "Differential soundness oracle: alias "
+                           "verdicts and symbolic ranges versus concrete "
+                           "executions.", seed=11, out="SOUNDNESS_REPORT.json")
+    parser.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS,
+                        help="cap on enumerated pointer pairs per function")
+    args = parser.parse_args(argv)
+    return oracle_main(args, soundness_corpus, lambda configs: run_soundness(
+        configs, jobs=args.jobs, max_pairs_per_function=args.max_pairs,
+        max_steps=args.max_steps))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,10 +12,10 @@ import os
 import pytest
 
 from repro.benchgen import build_program, generate_module, suite_configs
+from repro.evaluation import clients, soundness
 from repro.evaluation.soundness import (
     DEFAULT_MAX_PAIRS,
     check_program,
-    main,
     run_soundness,
     soundness_corpus,
 )
@@ -73,11 +73,20 @@ def test_report_record_shape():
         assert {"program", "seed", "executed", "claims_checked"} <= set(entry)
 
 
-def test_cli_writes_report_and_enforces_min_programs(tmp_path):
-    out = tmp_path / "SOUNDNESS_REPORT.json"
+#: Both oracle CLIs run through the shared runner; soundness adds a pair cap.
+ORACLE_CLIS = {
+    "soundness": (soundness.main, ["--max-pairs", "40"]),
+    "clients": (clients.main, []),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(ORACLE_CLIS))
+def test_cli_writes_report_and_enforces_min_programs(tmp_path, oracle):
+    cli, options = ORACLE_CLIS[oracle]
+    out = tmp_path / "report.json"
     expected = SUITE_COUNT + 1
-    status = main(["--extra", "1", "--max-pairs", "40", "--out", str(out),
-                   "--min-programs", str(expected)])
+    status = cli(["--extra", "1", *options, "--out", str(out),
+                  "--min-programs", str(expected)])
     assert status == 0
     record = json.loads(out.read_text())
     assert record["totals"]["programs"] == expected
@@ -85,9 +94,19 @@ def test_cli_writes_report_and_enforces_min_programs(tmp_path):
     assert record["totals"]["violations"] == 0
 
     # An unreachable bar makes the CLI fail with the dedicated status.
-    status = main(["--extra", "0", "--max-pairs", "40", "--out", str(out),
-                   "--min-programs", "1000"])
+    status = cli(["--extra", "0", *options, "--out", str(out),
+                  "--min-programs", "1000"])
     assert status == 2
+
+    # So does a program stopped early: every corpus program must execute
+    # to completion, whatever the bar.
+    status = cli(["--extra", "0", *options, "--max-steps", "1", "--out", str(out)])
+    assert status == 2
+    record = json.loads(out.read_text())
+    assert record["totals"]["programs_executed"] < record["totals"]["programs"]
+    record = json.loads(out.read_text())
+    assert record["totals"]["programs_executed"] < record["totals"]["programs"]
+    assert record["totals"]["violations"] == 0
 
 
 def test_default_max_pairs_is_bounded():

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded parallel evaluation runner."""
+"""Unit tests for the evaluation fan-out and the parallel runner's record."""
 
 import multiprocessing
 import time
@@ -9,17 +9,14 @@ from repro.evaluation import (
     bench_record,
     compare_bench_files,
     map_shards,
-    merge_indexed,
     partition,
-    resolve_jobs,
-    run_parallel_precision,
-    run_parallel_scalability,
     run_precision_experiment,
     run_scalability_experiment,
     strip_volatile,
 )
+from repro.evaluation import parallel, profile
 from repro.evaluation.ablation import run_ablation
-from repro.evaluation.parallel import JOBS_ENV, diff_records, write_json
+from repro.evaluation.parallel import diff_records, write_json
 
 PROGRAMS = ["allroots", "anagram"]
 MAX_PAIRS = 100
@@ -41,28 +38,6 @@ class TestPartition:
         assert partition([1, 2], 8) == [[1], [2]]
         assert partition([], 4) == []
 
-    def test_merge_indexed_restores_corpus_order(self):
-        items = [(index, f"value{index}") for index in range(7)]
-        shards = partition(items, 3)
-        assert merge_indexed(reversed(shards)) == [f"value{i}" for i in range(7)]
-
-
-class TestResolveJobs:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "7")
-        assert resolve_jobs(2) == 2
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(JOBS_ENV, "3")
-        assert resolve_jobs() == 3
-
-    def test_defaults_and_garbage(self, monkeypatch):
-        monkeypatch.delenv(JOBS_ENV, raising=False)
-        assert resolve_jobs() == 1
-        monkeypatch.setenv(JOBS_ENV, "not-a-number")
-        assert resolve_jobs() == 1
-        assert resolve_jobs(0) == 1  # clamped
-
 
 def _sleep_worker(seconds: float) -> float:
     time.sleep(seconds)
@@ -72,6 +47,11 @@ def _sleep_worker(seconds: float) -> float:
 class TestMapShards:
     def test_serial_path_preserves_order(self):
         assert map_shards(lambda x: x * x, [3, 1, 2], jobs=1) == [9, 1, 4]
+
+    def test_nonpositive_jobs_run_in_process(self):
+        # A lambda cannot be pickled, so these only pass without a pool.
+        for jobs in (None, 0, -3):
+            assert map_shards(lambda x: x + 1, [1, 2], jobs=jobs) == [2, 3]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="worker pickling relies on fork-inherited modules")
@@ -95,16 +75,21 @@ def serial_scalability():
     return run_scalability_experiment(program_count=3)
 
 
+def _no_pool(*args, **kwargs):
+    raise AssertionError("jobs=1 must not start a worker pool")
+
+
 class TestParallelPrecision:
-    def test_jobs1_is_the_serial_path(self, serial_precision):
-        report = run_parallel_precision(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
-                                        jobs=1)
+    def test_jobs1_is_the_serial_path(self, serial_precision, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        report = run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
+                                          jobs=1)
         assert strip_volatile(bench_record(report)) == \
             strip_volatile(bench_record(serial_precision))
 
     def test_jobs2_matches_serial_modulo_wall_time(self, serial_precision):
-        report = run_parallel_precision(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
-                                        jobs=2)
+        report = run_precision_experiment(PROGRAMS, max_pairs_per_function=MAX_PAIRS,
+                                          jobs=2)
         assert [result.program for result in report.results] == \
             [result.program for result in serial_precision.results]
         assert strip_volatile(bench_record(report)) == \
@@ -113,12 +98,12 @@ class TestParallelPrecision:
 
 class TestParallelScalability:
     def test_jobs2_merges_in_corpus_order(self, serial_scalability):
-        report = run_parallel_scalability(program_count=3, jobs=2)
+        report = run_scalability_experiment(program_count=3, jobs=2)
         assert [point.name for point in report.points] == \
             [point.name for point in serial_scalability.points]
 
     def test_solver_steps_survive_the_merge(self, serial_scalability):
-        report = run_parallel_scalability(program_count=3, jobs=2)
+        report = run_scalability_experiment(program_count=3, jobs=2)
         for merged, serial in zip(report.points, serial_scalability.points):
             assert merged.instructions == serial.instructions
             assert merged.pointers == serial.pointers
@@ -169,8 +154,8 @@ class TestBenchRecords:
         record = bench_record(scalability=serial_scalability,
                               run_info={"created_at": "now"})
         # A different wall-time profile of the same results must compare clean.
-        other = bench_record(scalability=run_parallel_scalability(program_count=3,
-                                                                  jobs=2),
+        other = bench_record(scalability=run_scalability_experiment(program_count=3,
+                                                                    jobs=2),
                              run_info={"created_at": "later"})
         path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
         write_json(str(path_a), record)
@@ -180,3 +165,20 @@ class TestBenchRecords:
         other["scalability"]["totals"]["solver_steps"] += 1
         write_json(str(path_b), other)
         assert compare_bench_files(str(path_a), str(path_b)) != []
+
+
+class TestProgramNames:
+    """An unknown ``--programs`` name is a usage error listing the valid ones."""
+
+    @pytest.mark.parametrize("cli, argv", [
+        (parallel.main, ["--skip-scalability"]),
+        (profile.main, []),
+    ], ids=["parallel", "profile"])
+    def test_unknown_program_is_rejected(self, cli, argv, tmp_path, capsys):
+        out = tmp_path / "record.json"
+        with pytest.raises(SystemExit) as exit_info:
+            cli(["--programs", "allroots", "nosuch", "--out", str(out), *argv])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "nosuch" in error and "allroots" in error and "yacr2" in error
+        assert not out.exists()
