@@ -1,0 +1,75 @@
+"""The committed perf trajectory: every row of ``perf_ledger.jsonl`` is complete.
+
+Each performance change appends one JSON row to ``benchmarks/perf_ledger.jsonl``
+with what ``perfbench`` measured for it: the medians and quartiles of the
+five end-to-end metrics (``BENCHMARK.json``) on both workloads, for the parent
+commit and the change, over alternating run pairs, plus the per-cycle deltas
+of the ``session_edits --trace 1`` layers the change touched.  The benchmark
+outputs themselves are not committed, so this file is the trajectory.
+"""
+
+import json
+import math
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+LEDGER = ROOT / "benchmarks" / "perf_ledger.jsonl"
+
+WORKLOADS = ("pipeline_cold", "session_edits")
+SIDES = ("parent", "change")
+TRACE_LAYERS = (
+    "frontend.lex_s", "frontend.parse_s", "frontend.sema_s", "frontend.lower_s",
+    "transforms.mem2reg_s", "transforms.simplify_s", "transforms.essa_s",
+    "transforms.verify_s", "ir.print_s", "service.handle_s.edit",
+)
+
+
+def _rows():
+    lines = LEDGER.read_text(encoding="utf-8").splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
+def _end_to_end_metrics():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [metric["name"] for metric in spec["end_to_end"]]
+
+
+def _number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def test_ledger_has_rows():
+    assert _rows()
+
+
+@pytest.mark.parametrize("index", range(len(_rows())))
+def test_row_has_required_fields(index):
+    row = _rows()[index]
+    for key in ("change", "date", "host"):
+        assert isinstance(row[key], str) and row[key]
+    assert isinstance(row["seed"], int)
+    assert _number(row["run_seconds"]) and row["run_seconds"] > 0
+    assert isinstance(row["pairs"], int) and row["pairs"] >= 1
+
+    metrics = _end_to_end_metrics()
+    for workload in WORKLOADS:
+        sides = row["end_to_end"][workload]
+        for side in SIDES:
+            for metric in metrics:
+                summary = sides[side][metric]
+                assert all(_number(summary[k]) for k in ("q1", "median", "q3")), \
+                    (workload, side, metric)
+                assert summary["q1"] <= summary["median"] <= summary["q3"], \
+                    (workload, side, metric)
+
+    trace = row["trace"]
+    assert trace["workload"] == "session_edits"
+    assert isinstance(trace["seed"], int) and isinstance(trace["runs"], int)
+    for layer in TRACE_LAYERS:
+        cycle = trace["per_cycle"][layer]
+        assert all(_number(cycle[k]) for k in ("parent", "change", "delta")), layer
+        assert cycle["delta"] == pytest.approx(cycle["change"] - cycle["parent"],
+                                               abs=1e-6), layer

@@ -289,10 +289,6 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
                 self._mark_unknown(inst)
 
     # -- queries ------------------------------------------------------------------------
-    def class_objects(self, pointer: Value) -> Set[Value]:
-        representative = self._class_of(pointer)
-        return set(self._objects_of_class.get(representative, set()))
-
     def class_is_unknown(self, pointer: Value) -> bool:
         representative = self._class_of(pointer)
         return self._class_unknown.get(representative, False)

@@ -105,16 +105,6 @@ class DominatorTree:
     def strictly_dominates(self, dominator: BasicBlock, block: BasicBlock) -> bool:
         return dominator is not block and self.dominates(dominator, block)
 
-    def dominated_blocks(self, root: BasicBlock) -> List[BasicBlock]:
-        """All blocks dominated by ``root`` (including ``root``) in preorder."""
-        result: List[BasicBlock] = []
-        worklist = [root]
-        while worklist:
-            block = worklist.pop()
-            result.append(block)
-            worklist.extend(self._children.get(block, []))
-        return result
-
     def preorder(self) -> Iterator[BasicBlock]:
         """Depth-first preorder traversal of the dominator tree."""
         entry = self.function.entry_block

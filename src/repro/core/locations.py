@@ -24,7 +24,8 @@ exactly that.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..ir.instructions import AllocaInst, MallocInst
@@ -107,11 +108,13 @@ class LocationTable:
         simply become unreferenced once the analyses that pointed at them
         are refreshed; only the site index must forget the old values (their
         ids may be recycled) and register the new body's allocation sites.
+        The table's own entries for them drop their site (which takes no
+        part in equality), so they no longer keep the old body alive.
         """
-        for value in list(old_function.args):
-            self._by_site.pop(value, None)
-        for inst in old_function.instructions():
-            self._by_site.pop(inst, None)
+        for value in itertools.chain(old_function.args, old_function.instructions()):
+            location = self._by_site.pop(value, None)
+            if location is not None:
+                self._locations[location.index] = replace(location, site=None)
         for inst in new_function.instructions():
             if inst in self._by_site:
                 continue

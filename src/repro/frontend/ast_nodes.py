@@ -9,7 +9,7 @@ the nodes themselves, and consumed during lowering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 __all__ = [
     # type syntax
@@ -310,3 +310,6 @@ class TranslationUnit:
     structs: List[StructDecl] = field(default_factory=list)
     globals: List[VarDecl] = field(default_factory=list)
     functions: List[FunctionDecl] = field(default_factory=list)
+    #: ``(start, end)`` token index range of every top-level declaration,
+    #: in source order; together they cover the stream up to EOF.
+    spans: List[Tuple[int, int]] = field(default_factory=list)

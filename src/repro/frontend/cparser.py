@@ -193,16 +193,33 @@ class Parser:
     def parse_translation_unit(self) -> TranslationUnit:
         unit = TranslationUnit()
         while self._peek().kind != TokenKind.EOF:
+            start = self._position
             if self._check_keyword("struct") and self._peek(2).is_punct("{"):
                 unit.structs.append(self._parse_struct_decl())
-                continue
-            if self._check_keyword("typedef"):
+            elif self._check_keyword("typedef"):
                 # Accepted and skipped up to the terminating semicolon.
                 while not self._accept_punct(";"):
                     self._advance()
-                continue
-            self._parse_external_declaration(unit)
+            else:
+                self._parse_external_declaration(unit)
+            unit.spans.append((start, self._position))
         return unit
+
+    def parse_function_definition(self, start: int, end: int) -> Optional[FunctionDecl]:
+        """Parse the one top-level declaration at token ``start``.
+
+        Returns the function definition when the declaration is one and ends
+        exactly at token ``end``, else ``None``.  Syntax errors raise the
+        same :class:`ParseError` a whole-unit parse would, because the
+        tokens (and so their positions) are the whole stream's.
+        """
+        self._position = start
+        unit = TranslationUnit()
+        self._parse_external_declaration(unit)
+        if self._position != end or unit.globals or len(unit.functions) != 1 \
+                or unit.functions[0].body is None:
+            return None
+        return unit.functions[0]
 
     def _parse_struct_decl(self) -> StructDecl:
         self._advance()  # struct

@@ -73,7 +73,7 @@ from .ast_nodes import (
 )
 from .sema import SemanticInfo, analyze
 
-__all__ = ["LoweringError", "lower_translation_unit"]
+__all__ = ["LoweringError", "lower_function_definitions", "lower_translation_unit"]
 
 
 class LoweringError(Exception):
@@ -104,7 +104,6 @@ class _FunctionLowerer:
     def __init__(self, module_lowerer: "_ModuleLowerer", decl: FunctionDecl, function: Function):
         self.parent = module_lowerer
         self.info = module_lowerer.info
-        self.module = module_lowerer.module
         self.decl = decl
         self.function = function
         self.builder = IRBuilder()
@@ -614,11 +613,13 @@ class _FunctionLowerer:
             value, value_type = self._lower_rvalue(arg)
             arg_values.append(value)
 
-        callee_function = self.module.get_function(name)
-        signature = self.info.signature_for_call(name)
-        if callee_function is not None and not callee_function.is_declaration():
+        # A definition is called directly once its lowering has started;
+        # calls to one still ahead in lowering order go by name.
+        callee_function = self.parent.lowered.get(name)
+        if callee_function is not None:
             call = self.builder.call(callee_function, arg_values, name=f"{name}.ret")
             return call, callee_function.return_type
+        signature = self.info.signature_for_call(name)
         return_type = signature.return_type if signature is not None else INT32
         call = self.builder.call(name, arg_values, return_type, name=f"{name}.ret")
         return call, return_type if return_type != VOID else INT32
@@ -661,13 +662,14 @@ _RVALUE_DISPATCH = {
 
 
 class _ModuleLowerer:
-    """Lowers a whole translation unit."""
+    """Lowers a whole translation unit, or chosen definitions of one."""
 
-    def __init__(self, unit: TranslationUnit, info: SemanticInfo, name: str):
-        self.unit = unit
+    def __init__(self, info: SemanticInfo, name: str):
         self.info = info
         self.module = Module(name)
         self.global_map: Dict[str, GlobalVariable] = {}
+        #: Definitions whose lowering has started, by name.
+        self.lowered: Dict[str, Function] = {}
         self._string_count = 0
 
     def string_literal(self, text: str) -> Tuple[Value, Type]:
@@ -678,22 +680,32 @@ class _ModuleLowerer:
         variable = self.module.create_global(name, array_type, is_constant_data=True)
         return variable, PointerType(INT8)
 
-    def lower(self) -> Module:
+    def lower(self, only: Optional[Dict[str, FunctionDecl]] = None) -> Module:
+        """Lower every definition, or only the ``only`` ones over shells.
+
+        Definitions are lowered in declaration order either way; one left
+        out still counts as lowered when its turn comes, so calls to it
+        resolve exactly as in a whole-unit lowering.
+        """
         self.module.struct_types.update(self.info.structs)
         for declaration in self.info.global_decls:
             value_type = self.info.resolve(declaration.type_spec)
             variable = self.module.create_global(declaration.name, value_type)
             self.global_map[declaration.name] = variable
         # Create all functions first so that calls can reference them.
-        lowerers: List[_FunctionLowerer] = []
+        definitions: List[Tuple[FunctionDecl, Function]] = []
         for name, decl in self.info.function_decls.items():
+            if only is not None:
+                decl = only.get(name, decl)
             signature = self.info.function_types[name]
             function = self.module.create_function(
                 name, signature, [param.name for param in decl.params])
             if decl.body is not None:
-                lowerers.append(_FunctionLowerer(self, decl, function))
-        for lowerer in lowerers:
-            lowerer.lower()
+                definitions.append((decl, function))
+        for decl, function in definitions:
+            self.lowered[decl.name] = function
+            if only is None or decl.name in only:
+                _FunctionLowerer(self, decl, function).lower()
         return self.module
 
 
@@ -701,4 +713,18 @@ def lower_translation_unit(unit: TranslationUnit, name: str = "module",
                            info: Optional[SemanticInfo] = None) -> Module:
     """Lower a parsed translation unit to an IR module (no optimisation)."""
     info = info or analyze(unit)
-    return _ModuleLowerer(unit, info, name).lower()
+    return _ModuleLowerer(info, name).lower()
+
+
+def lower_function_definitions(info: SemanticInfo,
+                               definitions: Dict[str, FunctionDecl],
+                               name: str = "module") -> Module:
+    """Lower only ``definitions`` against the declarations in ``info``.
+
+    ``info`` may be a :meth:`~repro.frontend.sema.SemanticInfo.header`; each
+    definition must keep the signature ``info`` gives its name.  The result
+    is a donor module: the lowered definitions plus body-less shells of
+    every other function and global, which
+    :meth:`~repro.ir.module.Module.replace_function` remaps by name.
+    """
+    return _ModuleLowerer(info, name).lower(definitions)

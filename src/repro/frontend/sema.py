@@ -28,6 +28,7 @@ from ..ir.types import (
 )
 from .ast_nodes import (
     ArrayTypeSpec,
+    CompoundStmt,
     FunctionDecl,
     IntLiteral,
     NamedTypeSpec,
@@ -73,6 +74,10 @@ KNOWN_EXTERNALS: Dict[str, FunctionType] = {
 }
 
 
+#: The body a header-only function definition carries (see ``header``).
+_EMPTY_BODY = CompoundStmt([])
+
+
 class SemanticError(Exception):
     """Raised for problems the frontend cannot lower meaningfully."""
 
@@ -108,6 +113,22 @@ class SemanticInfo:
                 raise SemanticError("array sizes must be integer literals")
             return ArrayType(element, size)
         raise SemanticError(f"unsupported type specification {spec!r}")
+
+    def header(self) -> "SemanticInfo":
+        """The declaration half of this info, without any body AST.
+
+        Structs, signatures and globals are shared; each function
+        definition keeps its declaration with an empty body, so
+        ``body is not None`` still tells definitions from prototypes.
+        """
+        return SemanticInfo(
+            structs=self.structs, function_types=self.function_types,
+            function_decls={
+                name: decl if decl.body is None else FunctionDecl(
+                    decl.name, decl.return_type, decl.params, _EMPTY_BODY,
+                    decl.is_vararg)
+                for name, decl in self.function_decls.items()},
+            global_decls=self.global_decls)
 
     def signature_for_call(self, name: str) -> Optional[FunctionType]:
         """Signature of a called function: module-defined, prototype or known external."""

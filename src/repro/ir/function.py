@@ -68,23 +68,6 @@ class Function(Value):
         self.blocks.append(block)
         return block
 
-    def add_block(self, block: BasicBlock) -> BasicBlock:
-        block.parent = self
-        if not block.name:
-            block.name = self.uniquify_name("bb")
-        self.blocks.append(block)
-        return block
-
-    def remove_block(self, block: BasicBlock) -> None:
-        self.blocks.remove(block)
-        block.parent = None
-
-    def get_block(self, name: str) -> Optional[BasicBlock]:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        return None
-
     # -- naming --------------------------------------------------------------------
     def uniquify_name(self, base: str) -> str:
         """Return ``base`` or ``base.N`` such that the result is unused."""

@@ -117,16 +117,6 @@ def _check_names(function: Function, errors: List[VerificationError]) -> None:
         seen[value.name] = value
 
 
-def _definition_index(function: Function) -> dict:
-    order = {}
-    position = 0
-    for block in function.blocks:
-        for inst in block.instructions:
-            order[inst] = position
-            position += 1
-    return order
-
-
 def _check_operands(function: Function, errors: List[VerificationError]) -> None:
     local_values = set(function.args)
     for inst in function.instructions():

@@ -50,8 +50,9 @@ from ..benchgen import build_program, source_digest
 from ..core.queries import QueryPairMemo
 from ..engine import keys
 from ..engine.manager import AnalysisKey, AnalysisManager, ManagerStatistics
-from ..frontend import compile_source
 from ..frontend.cparser import ParseError
+from ..frontend.declarations import SourceIndex
+from ..frontend.driver import EditCompile, compile_edit, compile_indexed
 from ..frontend.lexer import LexerError
 from ..frontend.lowering import LoweringError
 from ..frontend.sema import SemanticError
@@ -117,6 +118,9 @@ class ResidentModule:
     #: Load metadata (function names, instruction count), cached so lazy
     #: residents can answer ``load``/``modules`` without compiling.
     meta: Optional[Dict[str, Any]] = None
+    #: Per-declaration digests and header sema of ``source`` (set with
+    #: ``module``): what an edit is diffed against.
+    index: Optional[SourceIndex] = None
     #: analysis name -> long-lived cross-request query memo.
     memos: Dict[str, QueryPairMemo] = field(default_factory=dict)
     #: Solver steps of analyses that were evicted (harvested before drop).
@@ -228,9 +232,10 @@ class AnalysisSession:
         return resident
 
     @staticmethod
-    def _compile(source: str, name: str, code: str) -> Module:
+    def _compile(compiler, name: str, code: str, *args: Any) -> Any:
+        """``compiler(*args)``, with frontend errors as ``code`` errors."""
         try:
-            return compile_source(source, name)
+            return compiler(*args)
         except _COMPILE_ERRORS as error:
             raise ServiceError(
                 f"compiling module {name!r} failed: "
@@ -240,8 +245,9 @@ class AnalysisSession:
         """Compile a lazy resident's held source and warm up its manager."""
         if resident.module is not None:
             return
-        resident.module = self._compile(resident.source, resident.name,
-                                        BAD_REQUEST)
+        resident.module, resident.index = self._compile(
+            compile_indexed, resident.name, BAD_REQUEST, resident.source,
+            resident.name)
         resident.manager = AnalysisManager(resident.module)
         resident.manager.on_evict = resident._on_evict
 
@@ -264,11 +270,12 @@ class AnalysisSession:
                                           digest=digest, meta=dict(meta))
                 self._modules[name] = resident
                 return {"module": name, **meta}
-        module = self._compile(source, name, BAD_REQUEST)
+        module, index = self._compile(compile_indexed, name, BAD_REQUEST,
+                                      source, name)
         meta = self._meta_of(module)
         resident = ResidentModule(name=name, source=source, module=module,
                                   manager=AnalysisManager(module),
-                                  digest=digest, meta=dict(meta))
+                                  digest=digest, meta=dict(meta), index=index)
         self._modules[name] = resident
         if self.store is not None:
             self.store.put(self.store.key(digest, "load"), meta)
@@ -303,13 +310,29 @@ class AnalysisSession:
     def edit_source(self, name: str, source: str) -> Dict[str, Any]:
         """Apply an edited source to a resident module.
 
-        Function-body-only changes go down the incremental path: each
-        changed function is grafted via ``Module.replace_function`` and the
-        manager re-runs only what the edit invalidated.  Anything the
-        function-granular contract cannot express — added/removed functions
-        or globals, signature changes — falls back to a full reload (and
-        says so in the response).  A source the frontend rejects yields an
-        ``edit_rejected`` error and leaves the resident module untouched.
+        The edit is compiled against the resident's
+        :class:`~repro.frontend.declarations.SourceIndex` (a digest per
+        top-level declaration) by :func:`~repro.frontend.driver.compile_edit`.
+        When only function bodies changed, only those bodies are parsed,
+        lowered and prepared, and each is confirmed by printing it and its
+        resident version once: the ones that print differently are
+        ``changed``.  Every other edit takes the whole-source path, which
+        compiles a donor module and prints every function of both sides:
+
+        * a changed struct, global, prototype or function header;
+        * an added, removed or reordered declaration;
+        * a string literal in a changed body, old or new (lowering numbers
+          the ``.str.N`` globals module-wide);
+        * braces the declaration splitter cannot balance;
+        * a lazy resident, which has no index yet.
+
+        Either way each changed function is grafted via
+        ``Module.replace_function`` and the manager re-runs only what the
+        edit invalidated.  Anything the function-granular contract cannot
+        express — added/removed functions or globals, signature changes —
+        falls back to a full reload (and says so in the response).  A source
+        the frontend rejects yields an ``edit_rejected`` error and leaves
+        the resident module untouched.
         """
         resident = self._resident(name)
         if self.store is not None:
@@ -317,17 +340,20 @@ class AnalysisSession:
         if source == resident.source:
             return {"module": name, "changed": [], "reloaded": False,
                     "impacts": []}
-        donor = self._compile(source, name, EDIT_REJECTED)
+        edit = self._compile(compile_edit, name, EDIT_REJECTED,
+                             resident.index, source, name)
         self._materialize(resident)
-        changed = self._diff_functions(resident.module, donor)
+        changed = self._diff_functions(resident.module, edit)
         if changed is None:
             result = self.load_source(name, source)
             result.update({"changed": [], "reloaded": True, "impacts": []})
             return result
 
+        donor = edit.functions.get if edit.module is None \
+            else edit.module.get_function
         impacts: List[Dict[str, Any]] = []
         for function_name in changed:
-            replacement = donor.get_function(function_name)
+            replacement = donor(function_name)
             old = resident.module.replace_function(replacement)
             impact = resident.manager.apply_function_edit(old, replacement)
             impacts.append(impact.as_dict())
@@ -340,6 +366,7 @@ class AnalysisSession:
             memo.release()
         resident.source = source
         resident.digest = source_digest(source)
+        resident.index = edit.index
         resident.meta = self._meta_of(resident.module)
         if self.store is not None:
             # Register the new content address: a restarted server loading
@@ -351,12 +378,20 @@ class AnalysisSession:
                 "impacts": impacts}
 
     @staticmethod
-    def _diff_functions(current: Module, donor: Module) -> Optional[List[str]]:
+    def _diff_functions(current: Module, edit: EditCompile) -> Optional[List[str]]:
         """Names of functions whose printed IR changed, in module order.
 
-        ``None`` means the edit is not function-granular (function or global
-        set changed, or a signature changed) and needs a full reload.
+        A body-only edit prints just its recompiled functions and their
+        resident versions.  A whole-source donor prints every function of
+        both sides; ``None`` then means the edit is not function-granular
+        (function or global set changed, or a signature changed) and needs a
+        full reload.
         """
+        if edit.module is None:
+            return [name for name, function in edit.functions.items()
+                    if print_function(function)
+                    != print_function(current.get_function(name))]
+        donor = edit.module
         current_functions = {fn.name: fn for fn in current.defined_functions()}
         donor_functions = {fn.name: fn for fn in donor.defined_functions()}
         if set(current_functions) != set(donor_functions):

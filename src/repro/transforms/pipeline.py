@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from ..ir.function import Function
 from ..ir.module import Module
-from ..ir.verifier import verify_module
-from .essa import build_essa
-from .mem2reg import promote_allocas
+from ..ir.verifier import verify_function, verify_module
+from .essa import build_essa, build_essa_function
+from .mem2reg import promote_allocas, promote_allocas_in_function
 from .region_rename import rename_region_pointers
-from .simplify import simplify_module
+from .simplify import simplify_function, simplify_module
 
-__all__ = ["PipelineOptions", "PipelineResult", "prepare_module"]
+__all__ = ["PipelineOptions", "PipelineResult", "prepare_function", "prepare_module"]
 
 
 @dataclass
@@ -46,7 +47,12 @@ class PipelineResult:
 
 
 def prepare_module(module: Module, options: PipelineOptions = None) -> PipelineResult:
-    """Run the standard preparation pipeline on ``module`` in place."""
+    """Run the standard preparation pipeline on ``module`` in place.
+
+    Stage-major: each stage runs over every function before the next
+    starts.  The stages are per-function, so with the default options this
+    prepares each function exactly as :func:`prepare_function` does.
+    """
     options = options or PipelineOptions()
     result = PipelineResult()
     if options.promote_allocas:
@@ -65,3 +71,16 @@ def prepare_module(module: Module, options: PipelineOptions = None) -> PipelineR
         verify_module(module)
         result.stages_run.append("verify")
     return result
+
+
+def prepare_function(function: Function) -> None:
+    """Run the standard preparation pipeline on one function in place.
+
+    The per-function entry points of :func:`prepare_module`'s default
+    stages, in the same order; an edit recompiles one definition through
+    this.
+    """
+    promote_allocas_in_function(function)
+    simplify_function(function)
+    build_essa_function(function)
+    verify_function(function)

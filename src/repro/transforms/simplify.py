@@ -16,7 +16,8 @@ from ..ir.instructions import BinaryInst, ICmpInst, Instruction, PhiInst, Select
 from ..ir.module import Module
 from ..ir.values import ConstantInt, Value
 
-__all__ = ["fold_constants_in_function", "eliminate_dead_code_in_function", "simplify_module"]
+__all__ = ["fold_constants_in_function", "eliminate_dead_code_in_function",
+           "simplify_function", "simplify_module"]
 
 
 def _fold_binary(inst: BinaryInst) -> Optional[ConstantInt]:
@@ -125,10 +126,11 @@ def eliminate_dead_code_in_function(function: Function) -> int:
     return removed
 
 
+def simplify_function(function: Function) -> int:
+    """Constant folding followed by DCE; returns the number of changes."""
+    return fold_constants_in_function(function) + eliminate_dead_code_in_function(function)
+
+
 def simplify_module(module: Module) -> int:
-    """Constant folding followed by DCE over every function; returns total changes."""
-    total = 0
-    for function in module.defined_functions():
-        total += fold_constants_in_function(function)
-        total += eliminate_dead_code_in_function(function)
-    return total
+    """:func:`simplify_function` over every function; returns total changes."""
+    return sum(simplify_function(function) for function in module.defined_functions())
