@@ -289,10 +289,6 @@ class SteensgaardAliasAnalysis(AliasAnalysis):
                 self._mark_unknown(inst)
 
     # -- queries ------------------------------------------------------------------------
-    def class_is_unknown(self, pointer: Value) -> bool:
-        representative = self._class_of(pointer)
-        return self._class_unknown.get(representative, False)
-
     def alias(self, a: MemoryAccess, b: MemoryAccess) -> AliasResult:
         if a.pointer is b.pointer:
             return AliasResult.MUST_ALIAS

@@ -92,9 +92,6 @@ class CallGraph:
     def sites_calling(self, function: Function) -> List[CallSite]:
         return [site for site in self.call_sites if site.callee is function]
 
-    def sites_in(self, function: Function) -> List[CallSite]:
-        return [site for site in self.call_sites if site.caller is function]
-
     def is_address_taken(self, function: Function) -> bool:
         """True when the function escapes as a value (conservatively: any non-call use)."""
         return any(not isinstance(use.user, CallInst) for use in function.uses)

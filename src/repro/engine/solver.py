@@ -15,8 +15,14 @@ loops with one algorithm:
    worklist until the component reaches a fixed point, with a widening hook
    applied at the problem's designated refinement points (φ-functions,
    formal parameters, call results) to force convergence on cyclic regions;
-4. an optional descending (narrowing) sequence of full sweeps recovers
-   precision lost to widening — the schedule of Section 3.9 of the paper.
+4. an optional descending (narrowing) sequence recovers precision lost to
+   widening — the schedule of Section 3.9 of the paper.  Each descending
+   pass walks the same global order but applies a transfer only at
+   refinement points and at *stale* nodes, those with an input written
+   since their last evaluation (change-driven chaotic iteration, after
+   Bourdoncle, FMPA 1993).  Any other node's value is already the transfer
+   of its current inputs, so skipping it leaves every state exactly as a
+   full sweep would.
 
 Problems describe themselves through :class:`SparseProblem`; the solver owns
 scheduling only, never abstract values, so every analysis keeps its existing
@@ -79,9 +85,12 @@ def solver_budget(hook: Callable[[], bool]) -> Iterator[None]:
 class SolverStatistics:
     """Counters of one :meth:`SparseSolver.solve` run.
 
-    ``steps`` is the total number of transfer-function applications — the
-    engine's hardware-independent cost measure.  ``max_node_evaluations``
-    plays the role the old per-analysis "pass" counters played: it bounds how
+    ``steps`` is the total number of transfer functions actually applied —
+    the engine's hardware-independent cost measure.  ``descending_steps``
+    counts only the changed cone of the descending passes: refinement points
+    plus the nodes an earlier write made stale, never a node whose inputs
+    are unchanged since its last evaluation.  ``max_node_evaluations`` plays
+    the role the old per-analysis "pass" counters played: it bounds how
     often any single node was re-evaluated during the ascending phase.
 
     ``transfer_ns`` is the monotonic-clock wall time spent *inside* transfer
@@ -142,7 +151,14 @@ class SparseProblem:
         raise NotImplementedError
 
     def dependencies(self, node: Node) -> Iterable[Node]:
-        """Nodes whose state the transfer function of ``node`` reads."""
+        """Nodes whose state the transfer function of ``node`` reads.
+
+        This is a contract, not a hint: a transfer may read only the nodes
+        listed here plus those later registered with
+        :meth:`SparseSolver.add_dependency`.  The descending passes skip a
+        node none of whose listed inputs was written since its last
+        evaluation, so an unlisted read can leave a stale value behind.
+        """
         return ()
 
     def transfer(self, node: Node) -> Any:
@@ -270,6 +286,8 @@ class SparseSolver:
         self._evaluations: Dict[Node, int] = {}
         self._worklist: deque = deque()
         self._enqueued: Set[Node] = set()
+        #: Nodes with an input written since their last evaluation.
+        self._stale: Set[Node] = set()
 
     # -- dynamic dependence edges ---------------------------------------------
     def add_dependency(self, dependent: Node, dependency: Node) -> None:
@@ -286,7 +304,9 @@ class SparseSolver:
         self.statistics.edges += 1
 
     def _enqueue_dependents(self, node: Node) -> None:
+        stale = self._stale
         for dependent in self._dependents.get(node, ()):
+            stale.add(dependent)
             if dependent in self._enqueued:
                 continue
             if self._evaluations.get(dependent, 0) == 0:
@@ -306,6 +326,7 @@ class SparseSolver:
                 f"{self.statistics.steps} steps")
         problem = self.problem
         stats = self.statistics
+        self._stale.discard(node)
         old = problem.read(node)
         started = time.perf_counter_ns()
         new = problem.transfer(node)
@@ -321,6 +342,7 @@ class SparseSolver:
                 new = problem.narrow(node, old, new)
             if new != old:
                 problem.write(node, new)
+                self._stale.update(self._dependents.get(node, ()))
                 return True
             return False
         if phase == "sweep":
@@ -381,7 +403,8 @@ class SparseSolver:
         2. the worklist drains changes, which may escape the seed set —
            non-seed nodes are pre-marked as evaluated so they re-enter the
            schedule the moment an input of theirs changes;
-        3. descending (narrowing) passes re-run over the seeds only.
+        3. descending (narrowing) passes re-run over the seeds only, and
+           there only at refinement points and stale seeds.
 
         Widening re-arms on the seeds alone: their evaluation counters start
         at zero, so ``max_node_evaluations`` bounds the re-seeded region
@@ -438,9 +461,22 @@ class SparseSolver:
             self._evaluate(node, phase="ascending")
         problem.on_phase("ascending")
 
-        # Phase 3: descending sweeps (narrowing) in the same global order.
+        # Phase 3: descending passes (narrowing) in the same global order.
         for step in range(self.descending_passes):
-            for node in self._order:
-                self._evaluate(node, phase="descending")
+            self._descending_pass()
             problem.on_phase(f"descending:{step + 1}")
         return self.statistics
+
+    def _descending_pass(self) -> None:
+        """One narrowing pass over the refinement points and stale nodes.
+
+        A node that is neither holds the transfer of its current inputs —
+        every write marks the writer's dependents stale, including the ones
+        the ascending phase's evaluation cap declined to re-enqueue — so
+        re-applying its transfer could not change it.
+        """
+        problem = self.problem
+        stale = self._stale
+        for node in self._order:
+            if node in stale or problem.is_refinement_point(node):
+                self._evaluate(node, phase="descending")

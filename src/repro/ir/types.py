@@ -10,7 +10,7 @@ pointer-plus-constant rule consumes.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 __all__ = [
     "Type",
@@ -222,9 +222,6 @@ class StructType(Type):
 
     def size_in_bytes(self) -> int:
         return sum(field_type.size_in_bytes() for _, field_type in self.fields)
-
-    def field_names(self) -> List[str]:
-        return [field_name for field_name, _ in self.fields]
 
     def field_index(self, field_name: str) -> int:
         for index, (name, _) in enumerate(self.fields):

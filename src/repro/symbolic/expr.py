@@ -24,7 +24,7 @@ per-process intern table keyed on structural content, so two structurally
 equal expressions are one object.  Structural equality is therefore
 identity (``a == b`` iff ``a is b``), ``__hash__`` is a slot computed once
 at construction, and ``symbols()``/``sort_key()``/``complexity()`` return
-values cached at construction time.  Interned expressions are immortal for
+cached values (a sum builds its sort key on first use).  Interned expressions are immortal for
 the lifetime of the process (the table holds strong references), which is
 exactly what lets the derived-operation memos of
 :mod:`repro.symbolic.order` key on ``id()`` without recycling hazards.
@@ -37,6 +37,8 @@ saturating arithmetic, because interval bounds live in
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
+
+from .cache import named_memo
 
 __all__ = [
     "SymExpr",
@@ -75,6 +77,12 @@ __all__ = [
 _INTERN: Dict[tuple, "SymExpr"] = {}
 
 _EMPTY_SYMBOLS: FrozenSet[str] = frozenset()
+
+
+#: Non-trivial ``sym_add`` results keyed on the pair key
+#: ``id(a) << 64 | id(b)`` — safe because interned expressions are immortal.
+#: Sized so that the largest pipeline program never evicts.
+_ADD_MEMO = named_memo("sym_add", 1 << 13)
 
 
 def intern_table_size() -> int:
@@ -288,6 +296,17 @@ ZERO = Constant(0)
 ONE = Constant(1)
 
 
+def _union(first: FrozenSet[str], second: FrozenSet[str]) -> FrozenSet[str]:
+    """``first | second``, sharing an operand's set when it already is the
+    union — most expressions mention one symbol, and a fresh frozenset per
+    interned expression is most of the intern table's memory."""
+    if second <= first:
+        return first
+    if first <= second:
+        return second
+    return first | second
+
+
 def _freeze_terms(terms: Mapping[SymExpr, int]) -> Tuple[Tuple[SymExpr, int], ...]:
     items = [(t, c) for t, c in terms.items() if c != 0]
     items.sort(key=lambda tc: tc[0]._sort_key)
@@ -316,11 +335,10 @@ class SumExpr(SymExpr):
         symbols = _EMPTY_SYMBOLS
         complexity = 1
         for atom, _ in terms:
-            symbols = symbols | atom._symbols
+            symbols = _union(symbols, atom._symbols)
             complexity += atom._complexity
         _set(self, "_symbols", symbols)
-        _set(self, "_sort_key",
-             (5, offset, tuple((a._sort_key, c) for a, c in terms)))
+        _set(self, "_sort_key", None)  # built on first use: most sums never need it
         _set(self, "_complexity", complexity)
         _set(self, "_hash", hash(key))
         _INTERN[key] = self
@@ -328,6 +346,14 @@ class SumExpr(SymExpr):
 
     def __reduce__(self):
         return (SumExpr, (self.offset, self.terms))
+
+    def sort_key(self) -> Tuple:
+        key = self._sort_key
+        if key is None:
+            # Atoms are never sums, so their keys were built eagerly.
+            key = (5, self.offset, tuple((a._sort_key, c) for a, c in self.terms))
+            _set(self, "_sort_key", key)
+        return key
 
     def substitute(self, mapping: Mapping[str, ExprLike]) -> SymExpr:
         result: SymExpr = Constant(self.offset)
@@ -365,8 +391,8 @@ class _BinaryAtom(SymExpr):
         self = object.__new__(cls)
         _set(self, "lhs", lhs)
         _set(self, "rhs", rhs)
-        _set(self, "_symbols", lhs._symbols | rhs._symbols)
-        _set(self, "_sort_key", (cls._rank, cls._tag, lhs._sort_key, rhs._sort_key))
+        _set(self, "_symbols", _union(lhs._symbols, rhs._symbols))
+        _set(self, "_sort_key", (cls._rank, cls._tag, lhs.sort_key(), rhs.sort_key()))
         _set(self, "_complexity", 1 + lhs._complexity + rhs._complexity)
         _set(self, "_hash", hash(key))
         _INTERN[key] = self
@@ -437,9 +463,7 @@ def as_expr(value: ExprLike) -> SymExpr:
     """Coerce an ``int`` or :class:`SymExpr` into a :class:`SymExpr`."""
     if isinstance(value, SymExpr):
         return value
-    if isinstance(value, bool):  # guard against accidental booleans
-        return Constant(int(value))
-    if isinstance(value, int):
+    if isinstance(value, int):  # booleans included, as Constant(0/1)
         return Constant(value)
     raise TypeError(f"cannot convert {value!r} to a symbolic expression")
 
@@ -476,36 +500,47 @@ def _recompose(offset: int, terms: Dict[SymExpr, int]) -> SymExpr:
 
 def sym_add(a: ExprLike, b: ExprLike) -> SymExpr:
     """Saturating symbolic addition with linear canonicalisation."""
-    a, b = as_expr(a), as_expr(b)
+    return _add(as_expr(a), as_expr(b))
+
+
+def _add(a: SymExpr, b: SymExpr) -> SymExpr:
+    """:func:`sym_add` of two expressions, memoised on their identity once
+    neither operand is an infinity or zero."""
     type_a, type_b = type(a), type(b)
     if type_a is Constant and type_b is Constant:
         return Constant(a.value + b.value)
-    if a.is_infinite() and b.is_infinite():
-        if a is b:
-            return a
-        raise ArithmeticError("cannot add +inf and -inf")
-    if a.is_infinite():
+    if type_a is Infinity:
+        if type_b is Infinity and a is not b:
+            raise ArithmeticError("cannot add +inf and -inf")
         return a
-    if b.is_infinite():
+    if type_b is Infinity:
         return b
     if type_a is Constant and a.value == 0:
         return b
     if type_b is Constant and b.value == 0:
         return a
-    off_a, terms_a = _decompose(a)
-    off_b, terms_b = _decompose(b)
-    terms = dict(terms_a)
-    for atom, coeff in terms_b.items():
-        terms[atom] = terms.get(atom, 0) + coeff
-    return _recompose(off_a + off_b, terms)
+    key = id(a) << 64 | id(b)
+    result = _ADD_MEMO.get(key)
+    if result is None:
+        off_a, terms_a = _decompose(a)
+        off_b, terms_b = _decompose(b)
+        terms = dict(terms_a)
+        for atom, coeff in terms_b.items():
+            terms[atom] = terms.get(atom, 0) + coeff
+        result = _recompose(off_a + off_b, terms)
+        _ADD_MEMO.put(key, result)
+    return result
 
 
 def sym_neg(a: ExprLike) -> SymExpr:
     """Negation; flips infinities."""
-    a = as_expr(a)
+    return _neg(as_expr(a))
+
+
+def _neg(a: SymExpr) -> SymExpr:
     if type(a) is Constant:
         return Constant(-a.value)
-    if a.is_infinite():
+    if type(a) is Infinity:
         return NEG_INF if a is POS_INF else POS_INF
     off, terms = _decompose(a)
     return _recompose(-off, {atom: -coeff for atom, coeff in terms.items()})
@@ -513,8 +548,11 @@ def sym_neg(a: ExprLike) -> SymExpr:
 
 def sym_sub(a: ExprLike, b: ExprLike) -> SymExpr:
     """Saturating symbolic subtraction."""
-    a, b = as_expr(a), as_expr(b)
-    if a.is_infinite() and b.is_infinite():
+    return _sub(as_expr(a), as_expr(b))
+
+
+def _sub(a: SymExpr, b: SymExpr) -> SymExpr:
+    if type(a) is Infinity and type(b) is Infinity:
         if a is not b:
             return a
         raise ArithmeticError("cannot subtract equal infinities")
@@ -522,7 +560,7 @@ def sym_sub(a: ExprLike, b: ExprLike) -> SymExpr:
         # Identical finite expressions cancel exactly (interning makes this
         # an O(1) test rather than a structural walk).
         return ZERO
-    return sym_add(a, sym_neg(b))
+    return _add(a, _neg(b))
 
 
 def sym_mul(a: ExprLike, b: ExprLike) -> SymExpr:
@@ -558,7 +596,7 @@ def sym_mul(a: ExprLike, b: ExprLike) -> SymExpr:
             return a
         off, terms = _decompose(a)
         return _recompose(off * factor, {atom: coeff * factor for atom, coeff in terms.items()})
-    lhs, rhs = sorted((a, b), key=lambda e: e._sort_key)
+    lhs, rhs = sorted((a, b), key=lambda e: e.sort_key())
     return ProductExpr(lhs, rhs)
 
 
@@ -600,14 +638,14 @@ def sym_mod(a: ExprLike, b: ExprLike) -> SymExpr:
 
 def _fold_minmax(a: SymExpr, b: SymExpr, want_min: bool) -> Optional[SymExpr]:
     """Resolve ``min``/``max`` when the operands are comparable."""
-    from .order import compare, Ordering  # local import to avoid a cycle
+    from .order import _compare, Ordering  # local import to avoid a cycle
 
-    ordering = compare(a, b)
+    ordering = _compare(a, b)
     if ordering is Ordering.EQUAL:
         # Provably equal but possibly syntactically different (e.g.
         # ``max(0, N)`` vs ``max(0, max(-1, N))``): pick a canonical
         # representative so folding is order-independent.
-        return min(a, b, key=lambda e: (e._complexity, e._sort_key))
+        return min(a, b, key=lambda e: (e._complexity, e.sort_key()))
     if ordering is Ordering.LESS or ordering is Ordering.LESS_EQUAL:
         return a if want_min else b
     if ordering is Ordering.GREATER or ordering is Ordering.GREATER_EQUAL:
@@ -617,7 +655,10 @@ def _fold_minmax(a: SymExpr, b: SymExpr, want_min: bool) -> Optional[SymExpr]:
 
 def sym_min(a: ExprLike, b: ExprLike) -> SymExpr:
     """``min`` over ``S``; resolved eagerly when operands are comparable."""
-    a, b = as_expr(a), as_expr(b)
+    return _min(as_expr(a), as_expr(b))
+
+
+def _min(a: SymExpr, b: SymExpr) -> SymExpr:
     if a is b:
         return a
     if a is NEG_INF or b is NEG_INF:
@@ -631,13 +672,16 @@ def sym_min(a: ExprLike, b: ExprLike) -> SymExpr:
     folded = _fold_minmax(a, b, want_min=True)
     if folded is not None:
         return folded
-    lhs, rhs = sorted((a, b), key=lambda e: e._sort_key)
+    lhs, rhs = sorted((a, b), key=lambda e: e.sort_key())
     return MinExpr(lhs, rhs)
 
 
 def sym_max(a: ExprLike, b: ExprLike) -> SymExpr:
     """``max`` over ``S``; resolved eagerly when operands are comparable."""
-    a, b = as_expr(a), as_expr(b)
+    return _max(as_expr(a), as_expr(b))
+
+
+def _max(a: SymExpr, b: SymExpr) -> SymExpr:
     if a is b:
         return a
     if a is POS_INF or b is POS_INF:
@@ -651,5 +695,5 @@ def sym_max(a: ExprLike, b: ExprLike) -> SymExpr:
     folded = _fold_minmax(a, b, want_min=False)
     if folded is not None:
         return folded
-    lhs, rhs = sorted((a, b), key=lambda e: e._sort_key)
+    lhs, rhs = sorted((a, b), key=lambda e: e.sort_key())
     return MaxExpr(lhs, rhs)

@@ -21,49 +21,86 @@ conservative) result.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
+from .cache import named_memo
 from .expr import (
     ExprLike,
     NEG_INF,
     POS_INF,
     SymExpr,
+    _add,
+    _max,
+    _min,
+    _neg,
+    _sub,
     as_expr,
-    sym_add,
-    sym_max,
-    sym_min,
     sym_mul,
-    sym_neg,
-    sym_sub,
 )
-from .order import definitely_le, definitely_lt
+from .order import Ordering, _compare, definitely_le
 
 __all__ = ["SymbolicInterval", "EMPTY_INTERVAL", "TOP_INTERVAL"]
+
+#: The interval intern table, keyed on the pair key
+#: ``id(lower) << 64 | id(upper)``: bounds are interned, immortal
+#: expressions, so their ids are stable.  Unlike the expression table this
+#: one is bounded.  Equality and hashing stay structural, so an evicted
+#: interval stays valid next to a rebuilt twin: interning only saves the
+#: allocations and makes the identity-keyed memos below hit.  Sized so that
+#: the largest pipeline program never evicts.
+_INTERVALS = named_memo("interval_intern", 1 << 13)
+
+#: ``meet`` / ``join`` results keyed on the pair key ``id(a) << 64 | id(b)``.
+#: Each entry holds both operands, so no id in a live key can be recycled:
+#: a hit is a hit on the very objects that were combined.
+_MEET_MEMO = named_memo("interval_meet", 1 << 12)
+_JOIN_MEMO = named_memo("interval_join", 1 << 12)
+
+_set = object.__setattr__
+
+
+def _interval(lower: SymExpr, upper: SymExpr) -> "SymbolicInterval":
+    """The canonical ``[lower, upper]`` of two interned bounds."""
+    key = id(lower) << 64 | id(upper)
+    interval = _INTERVALS.get(key)
+    if interval is None:
+        interval = object.__new__(SymbolicInterval)
+        _set(interval, "_hash", None)
+        _set(interval, "_empty", False)
+        _set(interval, "_lower", lower)
+        _set(interval, "_upper", upper)
+        _INTERVALS.put(key, interval)
+    return interval
 
 
 class SymbolicInterval:
     """An element of ``SymbRanges``: ``∅`` or a pair ``[lower, upper]``.
 
-    Bounds are hash-consed expressions, so bound comparisons inside the
-    lattice operations are identity tests and the interval's hash is a cheap
-    pair-hash memoized on first use.
+    Bounds are hash-consed expressions and intervals are interned on them,
+    so building an interval that already exists returns the existing
+    object, bound comparisons inside the lattice operations are identity
+    tests, and ``meet``/``join`` memoise on the identity of their operands.
+    Equality and the hash stay structural (set orders do not depend on
+    interning, and an interval evicted from the bounded intern table still
+    equals its rebuilt twin).
     """
 
     __slots__ = ("_lower", "_upper", "_empty", "_hash")
 
-    def __init__(self, lower: Optional[ExprLike] = None, upper: Optional[ExprLike] = None,
-                 *, empty: bool = False):
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, lower: Optional[ExprLike] = None, upper: Optional[ExprLike] = None,
+                *, empty: bool = False):
         if empty:
-            object.__setattr__(self, "_empty", True)
-            object.__setattr__(self, "_lower", None)
-            object.__setattr__(self, "_upper", None)
-            return
+            return EMPTY_INTERVAL
         if lower is None or upper is None:
             raise ValueError("a non-empty interval needs both bounds")
-        object.__setattr__(self, "_empty", False)
-        object.__setattr__(self, "_lower", as_expr(lower))
-        object.__setattr__(self, "_upper", as_expr(upper))
+        return _interval(as_expr(lower), as_expr(upper))
+
+    def __reduce__(self):
+        # Unpickling returns the canonical instance: the module's ∅, or the
+        # interned interval the constructor finds.
+        if self._empty:
+            return "EMPTY_INTERVAL"
+        return (SymbolicInterval, (self._lower, self._upper))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("SymbolicInterval is immutable")
@@ -81,20 +118,9 @@ class SymbolicInterval:
 
     @classmethod
     def point(cls, value: ExprLike) -> "SymbolicInterval":
-        """The singleton interval ``[value, value]`` (cached per expression).
-
-        Point intervals are minted constantly — every integer constant and
-        kernel symbol becomes one — and their bounds are interned, so a
-        capped cache keyed on the bound expression cuts the allocation churn
-        without changing any observable value.
-        """
+        """The singleton interval ``[value, value]``."""
         expr = as_expr(value)
-        cached = _POINT_CACHE.get(expr)
-        if cached is None:
-            cached = cls(expr, expr)
-            if len(_POINT_CACHE) < _POINT_CACHE_CAP:
-                _POINT_CACHE[expr] = cached
-        return cached
+        return _interval(expr, expr)
 
     @classmethod
     def from_bounds(cls, lower: ExprLike, upper: ExprLike) -> "SymbolicInterval":
@@ -153,23 +179,33 @@ class SymbolicInterval:
             # Identical endpoints (the overwhelmingly common fixpoint case):
             # the join is this interval itself, no min/max folding needed.
             return self
-        return SymbolicInterval(
-            sym_min(self._lower, other._lower), sym_max(self._upper, other._upper)
-        )
+        key = id(self) << 64 | id(other)
+        entry = _JOIN_MEMO.get(key)
+        if entry is None:
+            entry = (self, other, _interval(_min(self._lower, other._lower),
+                                            _max(self._upper, other._upper)))
+            _JOIN_MEMO.put(key, entry)
+        return entry[2]
 
     def meet(self, other: "SymbolicInterval") -> "SymbolicInterval":
         """The ``⊓`` operator; ``∅`` when the intervals are provably disjoint."""
         if self._empty or other._empty:
             return EMPTY_INTERVAL
-        if self.is_top:
+        if self._lower is NEG_INF and self._upper is POS_INF:
             return other
-        if other.is_top:
+        if other._lower is NEG_INF and other._upper is POS_INF:
             return self
-        if self.definitely_disjoint(other):
-            return EMPTY_INTERVAL
-        return SymbolicInterval(
-            sym_max(self._lower, other._lower), sym_min(self._upper, other._upper)
-        )
+        key = id(self) << 64 | id(other)
+        entry = _MEET_MEMO.get(key)
+        if entry is None:
+            if self.definitely_disjoint(other):
+                met = EMPTY_INTERVAL
+            else:
+                met = _interval(_max(self._lower, other._lower),
+                                _min(self._upper, other._upper))
+            entry = (self, other, met)
+            _MEET_MEMO.put(key, entry)
+        return entry[2]
 
     def contains_interval(self, other: "SymbolicInterval") -> bool:
         """``other ⊑ self``, i.e. the bounds of ``self`` enclose ``other``'s."""
@@ -197,7 +233,7 @@ class SymbolicInterval:
         )
         lower = self._lower if lower_stable else NEG_INF
         upper = self._upper if upper_stable else POS_INF
-        return SymbolicInterval(lower, upper)
+        return _interval(lower, upper)
 
     def narrow(self, other: "SymbolicInterval") -> "SymbolicInterval":
         """Descending-sequence refinement: replace infinite bounds of ``self``
@@ -214,7 +250,7 @@ class SymbolicInterval:
         upper = other._upper if self._upper is POS_INF else self._upper
         if lower is self._lower and upper is self._upper:
             return self
-        return SymbolicInterval(lower, upper)
+        return _interval(lower, upper)
 
     # -- arithmetic ---------------------------------------------------------
     def shift(self, delta: ExprLike) -> "SymbolicInterval":
@@ -222,35 +258,33 @@ class SymbolicInterval:
         if self._empty:
             return self
         delta = as_expr(delta)
-        lower = sym_add(self._lower, delta)
-        upper = sym_add(self._upper, delta)
+        lower = _add(self._lower, delta)
+        upper = _add(self._upper, delta)
         if lower is self._lower and upper is self._upper:
             return self  # shift by zero: interning proves nothing changed
-        return SymbolicInterval(lower, upper)
+        return _interval(lower, upper)
 
     def add(self, other: "SymbolicInterval") -> "SymbolicInterval":
         """Interval addition ``[a+c, b+d]``."""
         if self._empty or other._empty:
             return EMPTY_INTERVAL
-        lower = sym_add(self._lower, other._lower)
-        upper = sym_add(self._upper, other._upper)
+        lower = _add(self._lower, other._lower)
+        upper = _add(self._upper, other._upper)
         if lower is self._lower and upper is self._upper:
             return self
-        return SymbolicInterval(lower, upper)
+        return _interval(lower, upper)
 
     def sub(self, other: "SymbolicInterval") -> "SymbolicInterval":
         """Interval subtraction ``[a-d, b-c]``."""
         if self._empty or other._empty:
             return EMPTY_INTERVAL
-        return SymbolicInterval(
-            sym_sub(self._lower, other._upper), sym_sub(self._upper, other._lower)
-        )
+        return _interval(_sub(self._lower, other._upper), _sub(self._upper, other._lower))
 
     def negate(self) -> "SymbolicInterval":
         """``[-u, -l]``."""
         if self._empty:
             return self
-        return SymbolicInterval(sym_neg(self._upper), sym_neg(self._lower))
+        return _interval(_neg(self._upper), _neg(self._lower))
 
     def scale(self, factor: int) -> "SymbolicInterval":
         """Multiply both bounds by an integer constant."""
@@ -280,20 +314,19 @@ class SymbolicInterval:
 
     def clamp_upper(self, bound: ExprLike) -> "SymbolicInterval":
         """Meet with ``[-inf, bound]`` (the ``∩ [-inf, E]`` of e-SSA)."""
-        return self.meet(SymbolicInterval(NEG_INF, bound))
+        return self.meet(_interval(NEG_INF, as_expr(bound)))
 
     def clamp_lower(self, bound: ExprLike) -> "SymbolicInterval":
         """Meet with ``[bound, +inf]`` (the ``∩ [E, +inf]`` of e-SSA)."""
-        return self.meet(SymbolicInterval(bound, POS_INF))
+        return self.meet(_interval(as_expr(bound), POS_INF))
 
     # -- predicates ---------------------------------------------------------
     def definitely_disjoint(self, other: "SymbolicInterval") -> bool:
         """True only when the two intervals can be proven not to overlap."""
         if self._empty or other._empty:
             return True
-        return definitely_lt(self._upper, other._lower) or definitely_lt(
-            other._upper, self._lower
-        )
+        return (_compare(self._upper, other._lower) is Ordering.LESS
+                or _compare(other._upper, self._lower) is Ordering.LESS)
 
     def contains_value(self, value: ExprLike) -> bool:
         """True only when ``lower <= value <= upper`` is provable."""
@@ -312,6 +345,8 @@ class SymbolicInterval:
 
     # -- dunder -------------------------------------------------------------
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, SymbolicInterval):
             return NotImplemented
         if self._empty or other._empty:
@@ -343,10 +378,14 @@ class SymbolicInterval:
         return result
 
 
-EMPTY_INTERVAL = SymbolicInterval(empty=True)
-TOP_INTERVAL = SymbolicInterval(NEG_INF, POS_INF)
+def _make_empty() -> SymbolicInterval:
+    empty = object.__new__(SymbolicInterval)
+    _set(empty, "_hash", None)
+    _set(empty, "_empty", True)
+    _set(empty, "_lower", None)
+    _set(empty, "_upper", None)
+    return empty
 
-#: Cache of point intervals keyed on their (interned, immortal) bound.
-#: Capped: once full, further points are constructed uncached.
-_POINT_CACHE: Dict[SymExpr, SymbolicInterval] = {}
-_POINT_CACHE_CAP = 1 << 16
+
+EMPTY_INTERVAL = _make_empty()
+TOP_INTERVAL = SymbolicInterval(NEG_INF, POS_INF)

@@ -18,9 +18,10 @@ Two complementary decision procedures are combined:
 
 Because expressions are hash-consed (structural equality is identity and
 instances are immortal per process), both :func:`compare` and the inner
-difference test memoize on ``(id(a), id(b))`` through bounded LRU caches —
-the same operand pair recurs thousands of times per fixpoint, and a cache
-hit replaces the whole recursive decision procedure with one dict probe.
+difference test memoize on the pair key ``id(a) << 64 | id(b)`` through
+bounded LRU caches — the same operand pair recurs thousands of times per
+fixpoint, and a cache hit replaces the whole recursive decision procedure
+with one dict probe.
 The caches are transparent: a memoized answer is exactly what the uncached
 procedure would return.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, Optional
 
-from .cache import BoundedMemo
+from .cache import MEMOS, named_memo
 from .expr import (
     Constant,
     ExprLike,
@@ -39,8 +40,8 @@ from .expr import (
     NEG_INF,
     POS_INF,
     SymExpr,
+    _sub,
     as_expr,
-    sym_sub,
 )
 
 __all__ = [
@@ -83,20 +84,23 @@ _MIRROR: Dict[Ordering, Ordering] = {
     Ordering.UNKNOWN: Ordering.UNKNOWN,
 }
 
-#: Memoized orderings keyed by ``(id(a), id(b))``; safe because interned
-#: expressions are immortal, bounded because a long-lived daemon is not.
-_COMPARE_MEMO = BoundedMemo(maxsize=1 << 17)
+#: Memoized orderings keyed by the pair key ``id(a) << 64 | id(b)``; safe
+#: because interned expressions are immortal, bounded because a long-lived
+#: daemon is not.
+_COMPARE_MEMO = named_memo("compare", 1 << 17)
 
 #: Memoized difference bounds keyed the same way (``None`` results included).
-_DIFFERENCE_MEMO = BoundedMemo(maxsize=1 << 17)
+_DIFFERENCE_MEMO = named_memo("difference", 1 << 17)
 
 _MISS = object()
 
 
 def compare_memo_stats() -> Dict[str, Dict[str, int]]:
-    """Hit/miss/eviction counters of the order-layer memo caches."""
-    return {"compare": _COMPARE_MEMO.stats(),
-            "difference": _DIFFERENCE_MEMO.stats()}
+    """Hit/miss/eviction counters of every symbolic-layer memo, by name:
+    ``compare`` and ``difference`` here, ``sym_add`` over expressions, and
+    the ``interval_intern`` table with the ``interval_meet``/``interval_join``
+    memos over intervals."""
+    return {name: memo.stats() for name, memo in sorted(MEMOS.items())}
 
 
 def resize_compare_memo(maxsize: int) -> None:
@@ -107,7 +111,7 @@ def resize_compare_memo(maxsize: int) -> None:
 
 def _difference_lower_bound(a: SymExpr, b: SymExpr) -> Optional[int]:
     """A constant ``c`` with ``b - a >= c``, when one is syntactically evident."""
-    key = (id(a), id(b))
+    key = id(a) << 64 | id(b)
     cached = _DIFFERENCE_MEMO.get(key, _MISS)
     if cached is not _MISS:
         return cached
@@ -118,7 +122,7 @@ def _difference_lower_bound(a: SymExpr, b: SymExpr) -> Optional[int]:
 
 def _difference_lower_bound_uncached(a: SymExpr, b: SymExpr) -> Optional[int]:
     try:
-        diff = sym_sub(b, a)
+        diff = _sub(b, a)
     except ArithmeticError:
         return None
     if isinstance(diff, Constant):
@@ -179,16 +183,20 @@ def compare(a: ExprLike, b: ExprLike) -> Ordering:
     memoized per identity pair (hash-consing makes that sound) together
     with the mirrored pair.
     """
-    a, b = as_expr(a), as_expr(b)
+    return _compare(as_expr(a), as_expr(b))
+
+
+def _compare(a: SymExpr, b: SymExpr) -> Ordering:
+    """:func:`compare` of two expressions (no coercion)."""
     if a is b:
         return Ordering.EQUAL
-    key = (id(a), id(b))
+    key = id(a) << 64 | id(b)
     cached = _COMPARE_MEMO.get(key)
     if cached is not None:
         return cached
     ordering = compare_uncached(a, b)
     _COMPARE_MEMO.put(key, ordering)
-    _COMPARE_MEMO.put((id(b), id(a)), _MIRROR[ordering])
+    _COMPARE_MEMO.put(id(b) << 64 | id(a), _MIRROR[ordering])
     return ordering
 
 

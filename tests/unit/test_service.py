@@ -290,7 +290,9 @@ class TestStatsCacheTelemetry:
         assert outcome_memo["misses"] >= 1
         assert outcome_memo["evictions"] == 0
         caches = record["symbolic_caches"]
-        assert set(caches) == {"compare", "difference"}
+        assert set(caches) == {"compare", "difference", "sym_add",
+                               "interval_intern", "interval_meet",
+                               "interval_join"}
         for counters in caches.values():
             assert {"size", "maxsize", "hits", "misses",
                     "evictions"} == set(counters)

@@ -11,8 +11,13 @@ Three properties carry the whole refactor:
 * **the compare memo is transparent** — the memoized
   :func:`repro.symbolic.compare` agrees with the unmemoized oracle on
   10k random pairs.
+
+Intervals are interned too, in a bounded table: a rebuilt interval is the
+interned instance (pickling included), and one evicted from the table still
+equals its rebuilt twin and keeps the identity-keyed lattice memos right.
 """
 
+import json
 import os
 import pickle
 import random
@@ -26,6 +31,7 @@ import repro
 from repro.symbolic import (
     BoundedMemo,
     Constant,
+    EMPTY_INTERVAL,
     Infinity,
     MaxExpr,
     MinExpr,
@@ -33,6 +39,7 @@ from repro.symbolic import (
     POS_INF,
     SumExpr,
     Symbol,
+    SymbolicInterval,
     compare,
     compare_memo_stats,
     compare_uncached,
@@ -45,6 +52,7 @@ from repro.symbolic import (
     sym_neg,
     sym_sub,
 )
+from repro.symbolic.cache import MEMOS
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -146,6 +154,46 @@ class TestInterningInvariant:
         assert pickle.loads(pickle.dumps(POS_INF)) is POS_INF
 
 
+class TestIntervalInterning:
+    def test_constructors_return_the_interned_instance(self):
+        n = sym("interval_probe")
+        assert SymbolicInterval(n, sym_add(n, 4)) is SymbolicInterval(n, sym_add(4, n))
+        assert SymbolicInterval.point(3) is SymbolicInterval(3, 3)
+        assert SymbolicInterval(n, 9).shift(1) is SymbolicInterval(sym_add(n, 1), 10)
+
+    def test_pickle_round_trip_returns_the_interned_instance(self):
+        # map_shards pickles results across worker processes.
+        interval = SymbolicInterval(sym_min(sym("N"), 0), sym_add(sym("M"), 7))
+        assert pickle.loads(pickle.dumps(interval)) is interval
+        assert pickle.loads(pickle.dumps(EMPTY_INTERVAL)) is EMPTY_INTERVAL
+        assert pickle.loads(pickle.dumps([interval, interval])) == [interval] * 2
+
+    def test_evicted_interval_equals_its_rebuilt_twin_and_memos_stay_right(self):
+        n = sym("evict_probe")
+        first = SymbolicInterval(n, sym_add(n, 8))
+        other = SymbolicInterval(sym_add(n, 2), sym_add(n, 20))
+        met, joined = first.meet(other), first.join(other)
+        table = MEMOS["interval_intern"]
+        maxsize = table.maxsize
+        try:
+            table.resize(1)  # evicts every interval but the newest
+            twin = SymbolicInterval(n, sym_add(n, 8))
+            assert twin is not first
+            assert twin == first and hash(twin) == hash(first)
+            assert {first: "slot"}[twin] == "slot"
+            # A miss for the twin's identity, then a hit; the evicted
+            # original keeps hitting its own entry.
+            meet_hits = MEMOS["interval_meet"].hits
+            assert twin.meet(other) == met
+            assert MEMOS["interval_meet"].hits == meet_hits
+            assert twin.meet(other) == met
+            assert first.meet(other) is met
+            assert MEMOS["interval_meet"].hits == meet_hits + 2
+            assert twin.join(other) == joined and first.join(other) is joined
+        finally:
+            table.resize(maxsize)
+
+
 class TestInfinitySingletons:
     def test_constructor_routes_to_singletons(self):
         assert Infinity(1) is POS_INF
@@ -180,13 +228,47 @@ print([e.complexity() for e in ordered])
 """
 
 
-def _run_under_hash_seed(seed: str) -> str:
+def _run_script(script: str, seed: str = "0") -> str:
+    """Run ``script`` in a fresh interpreter (empty intern tables and memos)."""
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = seed
     env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    result = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT],
+    result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, env=env, check=True)
     return result.stdout
+
+
+def _run_under_hash_seed(seed: str) -> str:
+    return _run_script(_HASH_SEED_SCRIPT, seed)
+
+
+#: The largest Figure-15 program taken through the cold pipeline's steps.
+_LARGEST_PROGRAM_SCRIPT = """
+import json
+from repro import AnalysisManager, compile_source, keys
+from repro.benchgen import generate_source
+from repro.evaluation.harness import enumerate_query_pairs
+from repro.evaluation.scalability import scalability_configs
+from repro.symbolic import compare_memo_stats
+config = max(scalability_configs(), key=lambda config: config.instances)
+module = compile_source(generate_source(config), config.name)
+manager = AnalysisManager(module)
+pairs = [(pair.a, pair.b) for pair in enumerate_query_pairs(module)]
+manager.get(keys.RBAA).no_alias_pairs(pairs)
+manager.get(keys.BASIC).no_alias_pairs(pairs)
+manager.get(keys.BOUNDS).module_report()
+manager.get(keys.PARALLEL).module_report()
+print(json.dumps(compare_memo_stats()))
+"""
+
+
+def test_largest_pipeline_program_never_evicts():
+    memos = json.loads(_run_script(_LARGEST_PROGRAM_SCRIPT))
+    assert set(memos) == {"compare", "difference", "sym_add", "interval_intern",
+                          "interval_meet", "interval_join"}
+    for name, counters in memos.items():
+        assert counters["hits"] > 0, name
+        assert counters["evictions"] == 0, name
 
 
 class TestHashSeedIndependence:
